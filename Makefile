@@ -6,8 +6,9 @@
 
 GO ?= go
 
-.PHONY: build test race test-parallel check vet lint lint-stale \
-	lint-fixtures fmt fuzz-smoke clean bench-fresh bench-gate bench-baseline
+.PHONY: build test race test-parallel test-determinism check vet lint \
+	lint-stale lint-fixtures fmt fuzz-smoke clean bench-fresh bench-gate \
+	bench-baseline
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,13 @@ race:
 test-parallel:
 	$(GO) test ./internal/grb ./internal/verify ./internal/fuse ./internal/adapt -race -grb.workers=4
 	$(GO) test ./internal/grb -run '^$$' -bench SpMV -benchtime 1x
+
+# Repeats the suites that assert run-to-run identity (bench cell digests,
+# rounds and bytes; digest stability across executors and worker counts)
+# enough times that a column which only matches under a lucky schedule
+# fails here instead of flaking later.
+test-determinism:
+	$(GO) test ./internal/bench ./internal/verify -run 'Deterministic|DigestStability' -count=20
 
 # Short fuzzing pass over every untrusted-input decoder. Go allows one fuzz
 # target per invocation, so each runs separately; 30s apiece keeps this
@@ -95,6 +103,7 @@ check: build vet lint
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
+	$(MAKE) test-determinism
 
 # Perf gate. bench-fresh regenerates a full BENCH snapshot into
 # $(BENCH_FRESH): the serving half from a seeded graphbench scenario

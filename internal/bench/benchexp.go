@@ -93,6 +93,7 @@ func BenchKernels(cfg Config, progress func(string)) ([]KernelBench, error) {
 		opMs := float64(sum.CatTotal(trace.CatKernel)+
 			sum.CatTotal(trace.CatRegion)+
 			sum.CatTotal(trace.CatLoop)) / 1e6
+		lo, hi := scheduleBounds(c, res, out)
 		out = append(out, KernelBench{
 			App:         c.app.String(),
 			System:      c.sys.String(),
@@ -102,6 +103,8 @@ func BenchKernels(cfg Config, progress func(string)) ([]KernelBench, error) {
 			ElapsedMs:   float64(res.Elapsed) / 1e6,
 			KernelMs:    opMs,
 			Rounds:      res.Rounds,
+			RoundsMin:   lo,
+			RoundsMax:   hi,
 			Bytes:       sum.Bytes,
 			BytesElided: sum.BytesElided,
 			Check:       fmt.Sprintf("%x", res.Check),
@@ -115,6 +118,50 @@ func BenchKernels(cfg Config, progress func(string)) ([]KernelBench, error) {
 		return nil, err
 	}
 	return append(out, incr...), nil
+}
+
+// scheduleBounds returns bounds on a cell's Rounds that hold under every
+// thread schedule, for the two cells whose round counter depends on the
+// schedule; (0, 0) means Rounds is deterministic and gates exactly.
+//
+//   - Lonestar sssp reports the work items it applied, and which items go
+//     stale before they are popped depends on which relaxations race
+//     ahead. Every reached vertex v contributes at least one applied item:
+//     exactly one write ever lowers dist[v] to its final value (the
+//     source's initial store, or the one minCAS that wins), it pushes at
+//     least one item carrying that value (pushNode pushes one per edge
+//     tile, one even for a vertex without out-edges), and when that item
+//     is popped dist[v] can go no lower, so the stale check passes it.
+//     Hence Rounds >= reached vertices.
+//   - Lonestar ktruss peels Gauss-Seidel: a kill is visible to the support
+//     counts made after it in the same round, so how much a round removes
+//     depends on the order workers reach edges. By induction its alive set
+//     after r rounds is a subset of the Jacobi peel's (every support it
+//     counts is over fewer live edges), and both end at the same k-truss,
+//     so it stops no later than the Jacobi peel — the matrix ktruss, whose
+//     round count (taken from the GB cell on the same graph when the cell
+//     set holds one) bounds it from above. Every run takes at least one
+//     round.
+func scheduleBounds(c benchCell, res core.Result, prev []KernelBench) (lo, hi int) {
+	if c.sys != core.LS {
+		return 0, 0
+	}
+	switch c.app {
+	case core.SSSP:
+		var reached int
+		if _, err := fmt.Sscanf(res.Value, "reached=%d", &reached); err != nil || reached < 1 {
+			reached = 1 // the source is always reached
+		}
+		return reached, 0
+	case core.KTruss:
+		for _, k := range prev {
+			if k.App == c.app.String() && k.System == core.GB.String() && k.Variant == "" && k.Graph == c.graph {
+				return 1, k.Rounds
+			}
+		}
+		return 1, 0
+	}
+	return 0, 0
 }
 
 // BenchTable renders the kernel rows as an aligned table.

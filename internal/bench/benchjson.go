@@ -61,6 +61,13 @@ type KernelBench struct {
 	// KernelMs is the summed duration of every CatKernel span.
 	KernelMs float64 `json:"kernel_ms"`
 	Rounds   int     `json:"rounds"`
+	// RoundsMin and RoundsMax are set only on cells whose Rounds counts
+	// schedule-dependent work (see scheduleBounds): RoundsMin > 0 marks
+	// such a cell and bounds Rounds from below under every schedule,
+	// RoundsMax (0: none) from above. The gate checks Rounds against them
+	// instead of comparing it with the baseline exactly.
+	RoundsMin int `json:"rounds_min,omitempty"`
+	RoundsMax int `json:"rounds_max,omitempty"`
 	// Bytes is the trace's total bytes materialized — the paper's
 	// headline per-kernel cost, and deterministic at a fixed worker
 	// count.
@@ -82,6 +89,12 @@ func (k KernelBench) key() string {
 		sys += ":" + k.Variant
 	}
 	return k.App + "/" + sys + "/" + k.Graph + "/" + k.Scale
+}
+
+// roundsInBounds reports whether a schedule-dependent cell's Rounds lies
+// within its recorded bounds.
+func (k KernelBench) roundsInBounds() bool {
+	return k.Rounds >= k.RoundsMin && (k.RoundsMax == 0 || k.Rounds <= k.RoundsMax)
 }
 
 // ReadBenchFile parses a BENCH_*.json document.
@@ -208,7 +221,11 @@ func Compare(base, fresh *BenchReport, tol Tolerances) []string {
 		if n.Check != b.Check {
 			f("kernels[%s].check: digest %s != baseline %s — the answer changed, not just the speed", b.key(), n.Check, b.Check)
 		}
-		if n.Rounds != b.Rounds {
+		if n.RoundsMin > 0 {
+			if !n.roundsInBounds() {
+				f("kernels[%s].rounds: fresh %d outside its schedule-independent bounds [%d, %d]", b.key(), n.Rounds, n.RoundsMin, n.RoundsMax)
+			}
+		} else if n.Rounds != b.Rounds {
 			f("kernels[%s].rounds: fresh %d != baseline %d", b.key(), n.Rounds, b.Rounds)
 		}
 		if tol.BytesFactor > 0 && float64(n.Bytes) > float64(b.Bytes)*tol.BytesFactor {

@@ -168,11 +168,19 @@ func TestBenchKernelsDeterministic(t *testing.T) {
 		if a[i].Check == "" {
 			t.Fatalf("cell %s/%s/%s has empty digest", a[i].App, a[i].System, a[i].Graph)
 		}
-		if a[i].Check != b[i].Check || a[i].Rounds != b[i].Rounds || a[i].Bytes != b[i].Bytes {
-			t.Fatalf("cell %s/%s/%s not deterministic: (%s,%d,%d) vs (%s,%d,%d)",
+		// Rounds gates exactly except on the schedule-dependent cells
+		// (scheduleBounds), whose bounds must be deterministic and hold on
+		// both runs.
+		rounds := a[i].Rounds == b[i].Rounds
+		if a[i].RoundsMin > 0 {
+			rounds = a[i].roundsInBounds() && b[i].roundsInBounds()
+		}
+		if a[i].Check != b[i].Check || !rounds || a[i].RoundsMin != b[i].RoundsMin ||
+			a[i].RoundsMax != b[i].RoundsMax || a[i].Bytes != b[i].Bytes || a[i].BytesElided != b[i].BytesElided {
+			t.Fatalf("cell %s/%s/%s not deterministic: (%s,%d in [%d,%d],%d,%d) vs (%s,%d in [%d,%d],%d,%d)",
 				a[i].App, a[i].System, a[i].Graph,
-				a[i].Check, a[i].Rounds, a[i].Bytes,
-				b[i].Check, b[i].Rounds, b[i].Bytes)
+				a[i].Check, a[i].Rounds, a[i].RoundsMin, a[i].RoundsMax, a[i].Bytes, a[i].BytesElided,
+				b[i].Check, b[i].Rounds, b[i].RoundsMin, b[i].RoundsMax, b[i].Bytes, b[i].BytesElided)
 		}
 	}
 	// The matrix systems materialize measurably more bytes than the
@@ -189,5 +197,33 @@ func TestBenchKernelsDeterministic(t *testing.T) {
 	}
 	if gbBytes <= lsBytes {
 		t.Fatalf("GB bytes %d <= LS bytes %d; expected matrix API to materialize more", gbBytes, lsBytes)
+	}
+}
+
+// TestCompareScheduleDependentRounds: a cell carrying schedule-independent
+// rounds bounds (Lonestar sssp's applied-item count) gates on the bounds,
+// not on the baseline's count; its digest still gates exactly.
+func TestCompareScheduleDependentRounds(t *testing.T) {
+	base := sampleReport()
+	base.Kernels = append(base.Kernels, KernelBench{
+		App: "sssp", System: "LS", Graph: "road-USA-W", Scale: "test", Rounds: 201, Check: "aa"})
+	fresh := func(rounds int) *BenchReport {
+		r := sampleReport()
+		r.Kernels = append(r.Kernels, KernelBench{
+			App: "sssp", System: "LS", Graph: "road-USA-W", Scale: "test",
+			Rounds: rounds, RoundsMin: 180, Check: "aa"})
+		return r
+	}
+	if v := Compare(base, fresh(191), DefaultTolerances()); len(v) != 0 {
+		t.Fatalf("another schedule's in-bounds count produced findings: %v", v)
+	}
+	v := Compare(base, fresh(179), DefaultTolerances())
+	if len(v) != 1 || !strings.Contains(v[0], "sssp/LS/road-USA-W/test].rounds") {
+		t.Fatalf("count below the floor: findings %v, want one rounds finding", v)
+	}
+	f := fresh(191)
+	f.Kernels[2].Check = "bb"
+	if v := Compare(base, f, DefaultTolerances()); len(v) != 1 || !strings.Contains(v[0], ".check") {
+		t.Fatalf("digest change on a bounded cell: findings %v, want one check finding", v)
 	}
 }

@@ -42,7 +42,7 @@ func TestPropertyBFSAcrossSystems(t *testing.T) {
 			return false
 		}
 		gb := lagraph.BFSLevels(gbv)
-		fusedv, _, err := lagraph.BFSFused(grb.NewSerialContext(), A, int(src))
+		fusedv, _, err := lagraph.FusedBFS(grb.NewSerialContext(), A, int(src))
 		if err != nil {
 			return false
 		}

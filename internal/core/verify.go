@@ -3,15 +3,19 @@ package core
 import (
 	"fmt"
 
+	"graphstudy/internal/lagraph"
 	"graphstudy/internal/verify"
 )
 
 // ReferenceCheck computes the serial reference answer for a spec and returns
 // its digest in the same canonical form Run produces, so a measurement can
-// be validated by digest equality. The second result is false when no
-// digest-exact reference exists for the spec (Lonestar's pagerank uses a
-// residual formulation whose 10-iteration transient differs from the power
-// iteration, so only SS/GB pagerank is digest-checkable).
+// be validated by digest equality. Pagerank has two references: the power
+// iteration for the default SS/GB variant, and the residual formulation for
+// the variants that compute it (gb-res and its fused, adaptive, and
+// incremental ports). The second result is false when no digest-exact
+// reference exists for the spec: Lonestar's residual pagerank applies the
+// damping to each contribution before summing rather than to the sum, so
+// its low-order bits, and with them possibly its digest, differ.
 func ReferenceCheck(spec RunSpec) (uint64, bool) {
 	p := Prepare(spec.Input, spec.Scale)
 	switch spec.App {
@@ -25,8 +29,11 @@ func ReferenceCheck(spec RunSpec) (uint64, bool) {
 		if spec.System == LS {
 			return 0, false
 		}
-		opt := 10
-		return rankCheck(verify.PageRank(p.G, 0.85, opt)), true
+		opt := lagraph.DefaultPageRankOptions()
+		if spec.Variant == VDefault {
+			return rankCheck(verify.PageRank(p.G, opt.Damping, opt.Iterations)), true
+		}
+		return rankCheck(verify.PageRankResidual(p.G, opt.Damping, opt.Iterations)), true
 	case SSSP:
 		return checksum64(verify.Dijkstra(p.G, p.Src)), true
 	case TC:

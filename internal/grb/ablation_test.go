@@ -113,9 +113,11 @@ func BenchmarkAblationPushPull(b *testing.B) {
 }
 
 // BenchmarkAblationFusedBFS quantifies the study's future-work hypothesis:
-// a hand-fused composite kernel recovers most of the bfs gap between the
-// three-call matrix formulation and the graph API's native loop. Compare
-// against BenchmarkTable2/bfs at the root for the ls time.
+// a fused composite kernel recovers most of the bfs gap between the
+// three-call matrix formulation and the graph API's native loop. The fused
+// arm runs FusedAssignExpand, the kernel the fusion planner lowers each
+// bfs round's assign+expand window onto. Compare against
+// BenchmarkTable2/bfs at the root for the ls time.
 func BenchmarkAblationFusedBFS(b *testing.B) {
 	g := gen.Grid(40, 40, 3, false, 0, 5)
 	g.SortAdjacency()
@@ -150,17 +152,12 @@ func BenchmarkAblationFusedBFS(b *testing.B) {
 			if err := AssignConstant(ctx, dist, nil, nil, 0, Desc{}); err != nil {
 				b.Fatal(err)
 			}
-			dist.SetElement(0, 1)
 			frontier := NewVector[bool](A.NRows(), List)
 			frontier.SetElement(0, true)
-			level := int32(1)
-			for frontier.NVals() > 0 {
-				next, err := FusedBFSStep(ctx, dist, frontier, A, level+1)
-				if err != nil {
-					b.Fatal(err)
+			for level := int32(1); frontier.NVals() > 0; level++ {
+				if _, applied, err := FusedAssignExpand(ctx, dist, level, frontier, A); err != nil || !applied {
+					b.Fatalf("FusedAssignExpand: applied=%v err=%v", applied, err)
 				}
-				frontier = next
-				level++
 			}
 		}
 	})

@@ -394,20 +394,27 @@ func TestEquivMxM(t *testing.T) {
 	}
 }
 
+// TestEquivFusedBFSStep: the fused BFS step (FusedAssignExpand, the
+// kernel behind the planner's bfs-expand window) stamps the same levels and
+// yields the same next frontier on every executor and worker count.
 func TestEquivFusedBFSStep(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	n := 500
 	A := randMatrix(r, n, n, n*6, randBool)
 	run := func(ctx *Context) (*Vector[int32], *Vector[bool]) {
 		dist := NewVector[int32](n, Dense)
-		dist.SetElement(0, 1)
+		dist.DenseFill(0)
 		frontier := NewVector[bool](n, List)
-		frontier.SetElement(0, true)
-		next, err := FusedBFSStep(ctx, dist, frontier, A, 2)
-		if err != nil {
-			t.Fatal(err)
+		for _, v := range []int{0, 7, 123, 499} {
+			frontier.SetElement(v, true)
 		}
-		return dist, next
+		// Two rounds, so the second expands a multi-block frontier.
+		for level := int32(1); level <= 2; level++ {
+			if _, applied, err := FusedAssignExpand(ctx, dist, level, frontier, A); err != nil || !applied {
+				t.Fatalf("FusedAssignExpand: applied=%v err=%v", applied, err)
+			}
+		}
+		return dist, frontier
 	}
 	wantDist, wantNext := run(NewSerialContext())
 	for name, ctx := range parallelContexts() {

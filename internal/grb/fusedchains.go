@@ -58,10 +58,10 @@ func bitmapBytes(n int) int64 { return int64(n+7) / 8 }
 // frontier position, phase B expands frontier rows collecting neighbors the
 // (complemented value) mask admits — i.e. positions whose dist value is
 // still zero. No mask bitmap, assign entry list, or alias snapshot is ever
-// built. Unlike FusedBFSStep there is no discovery CAS: the two phases
-// preserve the eager chain's pure window semantics exactly, so the result
-// is the same for any T, semiring aside (the pattern is only matched for
-// lor_land, where duplicate discoveries fold to the same value anyway).
+// built. There is no discovery CAS: the two phases preserve the eager
+// chain's pure window semantics exactly, so the result is the same for any
+// T, semiring aside (the pattern is only matched for lor_land, where
+// duplicate discoveries fold to the same value anyway).
 //
 // dist must be FullyDense (reported via the applied return); frontier may
 // be any representation and is replaced with the next frontier.

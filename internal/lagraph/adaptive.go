@@ -26,9 +26,14 @@ import (
 // Config.ForceDirection/ForceRep and demands digests identical to the
 // free-running engine across the whole corpus.
 
-// AdaptiveBFS is BFSPushPull with the static 5% cutoff replaced by the
-// adapt engine. Same contract as BFS: returns the level+1 vector, the
-// round count, and how many rounds pulled.
+// AdaptiveBFS is LAGraph's direction-optimized BFS: rounds with a sparse
+// frontier push (masked vxm over the frontier's rows); rounds with a dense
+// frontier pull (masked vxm driven by the unvisited positions through the
+// CSC mirror). The study's related-work section notes GraphBLAST leans on
+// exactly this optimization; here the adapt engine decides the direction
+// from the frontier density each round, and forcing it (Config.Force)
+// yields the pure-push or pure-pull foils. Same contract as BFS: returns
+// the level+1 vector, the round count, and how many rounds pulled.
 func AdaptiveBFS(ctx *grb.Context, A *grb.Matrix[bool], src int, cfg adapt.Config) (*grb.Vector[int32], int, int, error) {
 	n := A.NRows()
 	if A.NCols() != n {
@@ -40,8 +45,8 @@ func AdaptiveBFS(ctx *grb.Context, A *grb.Matrix[bool], src int, cfg adapt.Confi
 	init := trace.Begin(trace.CatRound, "lagraph.bfs-adapt.init")
 	A.EnsureCSC() // pull rounds dot through the CSC mirror
 
-	dist := grb.NewVector[int32](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, dist, nil, nil, 0, grb.Desc{}); err != nil {
+	dist, err := filled(ctx, n, int32(0))
+	if err != nil {
 		init.End()
 		return nil, 0, 0, err
 	}
@@ -117,28 +122,14 @@ func AdaptivePageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOpti
 		return grb.NewVector[float64](0, grb.Dense), nil
 	}
 	d := opt.Damping
-	base := (1 - d) / float64(n)
 	init := trace.Begin(trace.CatRound, "lagraph.pr-adapt.init")
-	A.EnsureCSC()
-
-	outdeg := grb.ReduceRows(ctx, grb.PlusMonoid[float64](), A)
-	invdeg := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, invdeg, nil, nil, 0, grb.Desc{}); err != nil {
+	invdeg, pr, err := residualInit(ctx, A)
+	if err != nil {
 		init.End()
 		return nil, err
 	}
-	if err := grb.Apply(ctx, invdeg, nil, nil, func(x float64) float64 { return 1 / x }, outdeg, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-
-	pr := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, pr, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-	res := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, res, nil, nil, base, grb.Desc{}); err != nil {
+	res, err := filled(ctx, n, (1-d)/float64(n))
+	if err != nil {
 		init.End()
 		return nil, err
 	}
@@ -206,8 +197,8 @@ func AdaptiveSSSP[T grb.Number](ctx *grb.Context, A *grb.Matrix[T], src int, del
 	AH := grb.SelectMatrix(A, func(v T, _, _ int) bool { return v > delta })
 	AL.EnsureCSC() // forced-pull light rounds need the mirror
 
-	t := grb.NewVector[T](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, t, nil, nil, inf, grb.Desc{}); err != nil {
+	t, err := filled(ctx, n, inf)
+	if err != nil {
 		init.End()
 		return SSSPResult[T]{}, err
 	}

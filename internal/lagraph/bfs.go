@@ -3,6 +3,7 @@ package lagraph
 import (
 	"fmt"
 
+	"graphstudy/internal/fuse"
 	"graphstudy/internal/grb"
 	"graphstudy/internal/trace"
 )
@@ -18,6 +19,19 @@ import (
 // which is the "lightweight loops" limitation the study quantifies (three
 // passes per round versus Lonestar's single fused loop).
 func BFS(ctx *grb.Context, A *grb.Matrix[bool], src int) (*grb.Vector[int32], int, error) {
+	return bfs(ctx, A, src, "bfs", (*fuse.Program).RunEager)
+}
+
+// FusedBFS is BFS with each round planned by internal/fuse: the masked
+// assign and the masked vxm form the planner's bfs-expand window, one
+// frontier traversal with no mask bitmaps and no assign entry list. Rounds
+// and the returned vector match BFS exactly.
+func FusedBFS(ctx *grb.Context, A *grb.Matrix[bool], src int) (*grb.Vector[int32], int, error) {
+	return bfs(ctx, A, src, "bfs-dag", (*fuse.Program).Run)
+}
+
+// bfs is the one BFS round loop; family names its trace spans.
+func bfs(ctx *grb.Context, A *grb.Matrix[bool], src int, family string, run func(*fuse.Program) error) (*grb.Vector[int32], int, error) {
 	n := A.NRows()
 	if A.NCols() != n {
 		return nil, 0, fmt.Errorf("lagraph: BFS needs a square matrix, got %dx%d", n, A.NCols())
@@ -26,18 +40,18 @@ func BFS(ctx *grb.Context, A *grb.Matrix[bool], src int) (*grb.Vector[int32], in
 		return nil, 0, fmt.Errorf("lagraph: BFS source %d out of range [0,%d)", src, n)
 	}
 
-	// dist = 0 everywhere (GrB_assign with GrB_ALL makes it dense).
-	init := trace.Begin(trace.CatRound, "lagraph.bfs.init")
-	dist := grb.NewVector[int32](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, dist, nil, nil, 0, grb.Desc{}); err != nil {
+	// dist = 0 everywhere; frontier = {src}.
+	init := trace.Begin(trace.CatRound, "lagraph."+family+".init")
+	dist, err := filled(ctx, n, int32(0))
+	if err != nil {
 		init.End()
 		return nil, 0, err
 	}
-	// frontier = {src}.
 	frontier := grb.NewVector[bool](n, grb.List)
 	frontier.SetElement(src, true)
 	init.End()
 
+	roundOp := "lagraph." + family + ".round"
 	level := int32(1)
 	rounds := 0
 	for {
@@ -45,37 +59,32 @@ func BFS(ctx *grb.Context, A *grb.Matrix[bool], src int) (*grb.Vector[int32], in
 			return nil, rounds, ErrTimeout
 		}
 		rounds++
-		sp := trace.Begin(trace.CatRound, "lagraph.bfs.round")
+		sp := trace.Begin(trace.CatRound, roundOp)
 		sp.Round = rounds
 		sp.NNZIn = int64(frontier.NVals())
-		done := false
-		err := func() error {
-			// Pass 1: dist<frontier> = level.
-			if err := grb.AssignConstant(ctx, dist, grb.StructMask(frontier), nil, level, grb.Desc{}); err != nil {
-				return err
-			}
-			// Pass 2: termination check.
-			if frontier.NVals() == 0 {
-				done = true
-				return nil
-			}
+		// Pass 1: dist<frontier> = level.
+		p := fuse.NewProgram(ctx)
+		fuse.AssignConstant(p, dist, fuse.StructOf(frontier), nil, level, grb.Desc{})
+		// Pass 2: termination check (pass 1 writes dist only, so the
+		// frontier's nvals can be read before it runs).
+		done := frontier.NVals() == 0
+		if !done {
 			// Pass 3: frontier<!dist> = frontier vxm A (LOR.LAND, replace).
-			// The value mask over dist keeps visited vertices (non-zero level)
-			// out of the new frontier.
-			mask := grb.ValueMask(dist).Comp()
-			return grb.VxM(ctx, frontier, mask, nil, grb.LorLand(), frontier, A, grb.Desc{Replace: true})
-		}()
+			// The value mask over dist keeps visited vertices (non-zero
+			// level) out of the new frontier.
+			fuse.VxM(p, frontier, fuse.ValueOf(dist).Comp(), nil, grb.LorLand(), frontier, A, grb.Desc{Replace: true})
+		}
+		err := run(p)
 		sp.NNZOut = int64(frontier.NVals())
 		sp.End()
 		if err != nil {
 			return nil, rounds, err
 		}
 		if done {
-			break
+			return dist, rounds, nil
 		}
 		level++
 	}
-	return dist, rounds, nil
 }
 
 // BFSLevels converts the BFS result vector to the canonical reference form:

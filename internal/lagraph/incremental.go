@@ -175,87 +175,6 @@ func IncrementalCC(oldLabels []uint32, adds []graph.Edge) []uint32 {
 	return out
 }
 
-// PageRankResidualTraj is PageRankResidual with the residual trajectory
-// captured: traj[k] is the residual at the start of iteration k (so
-// pr = traj[0] + ... + traj[T-1], folded in iteration order). The loop body
-// is operation-for-operation the one in PageRankResidual, so the returned
-// pr is bit-identical to it; the trajectory is what IncrementalPageRank
-// patches on the next snapshot.
-func PageRankResidualTraj(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*grb.Vector[float64], []*grb.Vector[float64], error) {
-	n := A.NRows()
-	if A.NCols() != n {
-		return nil, nil, fmt.Errorf("lagraph: PageRankResidualTraj needs a square matrix, got %dx%d", n, A.NCols())
-	}
-	if n == 0 {
-		return grb.NewVector[float64](0, grb.Dense), nil, nil
-	}
-	d := opt.Damping
-	base := (1 - d) / float64(n)
-	init := trace.Begin(trace.CatRound, "lagraph.pr-res.init")
-	A.EnsureCSC()
-
-	invdeg, err := prInvDeg(ctx, A)
-	if err != nil {
-		init.End()
-		return nil, nil, err
-	}
-	pr := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, pr, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, nil, err
-	}
-	res := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, res, nil, nil, base, grb.Desc{}); err != nil {
-		init.End()
-		return nil, nil, err
-	}
-	contrib := grb.NewVector[float64](n, grb.Dense)
-	init.End()
-
-	traj := make([]*grb.Vector[float64], 0, opt.Iterations)
-	plus := func(a, b float64) float64 { return a + b }
-	for it := 0; it < opt.Iterations; it++ {
-		if ctx.Stopped() {
-			return nil, nil, ErrTimeout
-		}
-		sp := trace.Begin(trace.CatRound, "lagraph.pr-res.round")
-		sp.Round = it + 1
-		traj = append(traj, res.Dup())
-		err := func() error {
-			if err := grb.EWiseAdd(ctx, pr, nil, nil, plus, pr, res, grb.Desc{}); err != nil {
-				return err
-			}
-			if err := grb.EWiseMult(ctx, contrib, nil, nil, func(a, b float64) float64 { return a * b }, res, invdeg, grb.Desc{Replace: true}); err != nil {
-				return err
-			}
-			if err := grb.VxM(ctx, res, nil, nil, grb.PlusTimes[float64](), contrib, A, grb.Desc{Replace: true}); err != nil {
-				return err
-			}
-			return grb.Apply(ctx, res, nil, nil, func(x float64) float64 { return d * x }, res, grb.Desc{Replace: true})
-		}()
-		sp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return pr, traj, nil
-}
-
-// prInvDeg computes the reciprocal out-degree vector exactly the way
-// PageRankResidual's init does (dense, 0 for dangling vertices).
-func prInvDeg(ctx *grb.Context, A *grb.Matrix[float64]) (*grb.Vector[float64], error) {
-	n := A.NRows()
-	outdeg := grb.ReduceRows(ctx, grb.PlusMonoid[float64](), A)
-	invdeg := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, invdeg, nil, nil, 0, grb.Desc{}); err != nil {
-		return nil, err
-	}
-	if err := grb.Apply(ctx, invdeg, nil, nil, func(x float64) float64 { return 1 / x }, outdeg, grb.Desc{}); err != nil {
-		return nil, err
-	}
-	return invdeg, nil
-}
-
 // IncrementalPageRank recomputes the delta-residual pagerank after edge
 // additions, reusing the previous snapshot's residual trajectory. The
 // residual recurrence res_{k+1} = d * (A' (res_k ./ outdeg)) localizes a
@@ -287,14 +206,8 @@ func IncrementalPageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankO
 	}
 	d := opt.Damping
 	init := trace.Begin(trace.CatRound, "lagraph.pr-incr.init")
-	A.EnsureCSC()
-	invdeg, err := prInvDeg(ctx, A)
+	invdeg, pr, err := residualInit(ctx, A)
 	if err != nil {
-		init.End()
-		return nil, nil, err
-	}
-	pr := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, pr, nil, nil, 0, grb.Desc{}); err != nil {
 		init.End()
 		return nil, nil, err
 	}

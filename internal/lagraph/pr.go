@@ -3,6 +3,7 @@ package lagraph
 import (
 	"fmt"
 
+	"graphstudy/internal/fuse"
 	"graphstudy/internal/grb"
 	"graphstudy/internal/trace"
 )
@@ -120,8 +121,38 @@ func PageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*g
 //
 // It intentionally performs no dangling redistribution, exactly like the
 // Lonestar implementation it mirrors; compare its output against
-// lonestar.PageRankResidual, not verify.PageRank.
+// lonestar.PageRankResidual or verify.PageRankResidual, not verify.PageRank.
 func PageRankResidual(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*grb.Vector[float64], error) {
+	return residualPageRank(ctx, A, opt, "pr-res", (*fuse.Program).RunEager, nil)
+}
+
+// FusedPageRank is PageRankResidual with each iteration planned by
+// internal/fuse: the planner fuses the first pair of the round body (the
+// two passes over the residual the study calls out as the API gap) and the
+// second (the product re-scaled in place). Results are bit-identical to
+// PageRankResidual.
+func FusedPageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*grb.Vector[float64], error) {
+	return residualPageRank(ctx, A, opt, "pr-dag", (*fuse.Program).Run, nil)
+}
+
+// PageRankResidualTraj is PageRankResidual with the residual trajectory
+// captured: traj[k] is the residual at the start of iteration k (so
+// pr = traj[0] + ... + traj[T-1], folded in iteration order). The returned
+// pr is bit-identical to PageRankResidual's; the trajectory is what
+// IncrementalPageRank patches on the next snapshot.
+func PageRankResidualTraj(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions) (*grb.Vector[float64], []*grb.Vector[float64], error) {
+	traj := make([]*grb.Vector[float64], 0, opt.Iterations)
+	pr, err := residualPageRank(ctx, A, opt, "pr-res", (*fuse.Program).RunEager, &traj)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pr, traj, nil
+}
+
+// residualPageRank is the one residual pagerank round loop; family names
+// its trace spans, and a non-nil traj receives a copy of the residual at
+// the start of every iteration.
+func residualPageRank(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOptions, family string, run func(*fuse.Program) error, traj *[]*grb.Vector[float64]) (*grb.Vector[float64], error) {
 	n := A.NRows()
 	if A.NCols() != n {
 		return nil, fmt.Errorf("lagraph: PageRankResidual needs a square matrix, got %dx%d", n, A.NCols())
@@ -130,62 +161,66 @@ func PageRankResidual(ctx *grb.Context, A *grb.Matrix[float64], opt PageRankOpti
 		return grb.NewVector[float64](0, grb.Dense), nil
 	}
 	d := opt.Damping
-	base := (1 - d) / float64(n)
-	init := trace.Begin(trace.CatRound, "lagraph.pr-res.init")
-	A.EnsureCSC() // the dense-vector vxm pulls through columns
-
-	outdeg := grb.ReduceRows(ctx, grb.PlusMonoid[float64](), A)
-	invdeg := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, invdeg, nil, nil, 0, grb.Desc{}); err != nil {
+	init := trace.Begin(trace.CatRound, "lagraph."+family+".init")
+	invdeg, pr, err := residualInit(ctx, A)
+	if err != nil {
 		init.End()
 		return nil, err
 	}
-	if err := grb.Apply(ctx, invdeg, nil, nil, func(x float64) float64 { return 1 / x }, outdeg, grb.Desc{}); err != nil {
+	res, err := filled(ctx, n, (1-d)/float64(n))
+	if err != nil {
 		init.End()
 		return nil, err
 	}
-
-	pr := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, pr, nil, nil, 0, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-	res := grb.NewVector[float64](n, grb.Dense)
-	if err := grb.AssignConstant(ctx, res, nil, nil, base, grb.Desc{}); err != nil {
-		init.End()
-		return nil, err
-	}
-
 	contrib := grb.NewVector[float64](n, grb.Dense)
 	init.End()
+
+	roundOp := "lagraph." + family + ".round"
 	plus := func(a, b float64) float64 { return a + b }
+	times := func(a, b float64) float64 { return a * b }
+	scale := func(x float64) float64 { return d * x }
 	for it := 0; it < opt.Iterations; it++ {
 		if ctx.Stopped() {
 			return nil, ErrTimeout
 		}
-		sp := trace.Begin(trace.CatRound, "lagraph.pr-res.round")
+		sp := trace.Begin(trace.CatRound, roundOp)
 		sp.Round = it + 1
-		err := func() error {
-			// Pass 1 over res: pr += res.
-			if err := grb.EWiseAdd(ctx, pr, nil, nil, plus, pr, res, grb.Desc{}); err != nil {
-				return err
-			}
-			// Pass 2 over res: contrib = res ./ outdeg.
-			if err := grb.EWiseMult(ctx, contrib, nil, nil, func(a, b float64) float64 { return a * b }, res, invdeg, grb.Desc{Replace: true}); err != nil {
-				return err
-			}
-			// res = d * (A' contrib).
-			if err := grb.VxM(ctx, res, nil, nil, grb.PlusTimes[float64](), contrib, A, grb.Desc{Replace: true}); err != nil {
-				return err
-			}
-			return grb.Apply(ctx, res, nil, nil, func(x float64) float64 { return d * x }, res, grb.Desc{Replace: true})
-		}()
+		if traj != nil {
+			*traj = append(*traj, res.Dup())
+		}
+		p := fuse.NewProgram(ctx)
+		// Pass 1 over res: pr += res. Pass 2 over res: contrib = res ./ outdeg.
+		fuse.EWiseAdd(p, pr, fuse.NoMask(), nil, plus, pr, res, grb.Desc{})
+		fuse.EWiseMult(p, contrib, fuse.NoMask(), nil, times, res, invdeg, grb.Desc{Replace: true})
+		// res = d * (A' contrib).
+		fuse.VxM(p, res, fuse.NoMask(), nil, grb.PlusTimes[float64](), contrib, A, grb.Desc{Replace: true})
+		fuse.Apply(p, res, fuse.NoMask(), nil, scale, res, grb.Desc{Replace: true})
+		err := run(p)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
 	}
 	return pr, nil
+}
+
+// residualInit is the set-up every residual pagerank shares (gb-res,
+// fused, adaptive, and incremental): the CSC mirror the dense-vector vxm
+// pulls through, the reciprocal out-degree (0 keeps dangling vertices
+// inert), and the zeroed rank.
+func residualInit(ctx *grb.Context, A *grb.Matrix[float64]) (invdeg, pr *grb.Vector[float64], err error) {
+	A.EnsureCSC()
+	outdeg := grb.ReduceRows(ctx, grb.PlusMonoid[float64](), A)
+	if invdeg, err = filled(ctx, A.NRows(), 0.0); err != nil {
+		return nil, nil, err
+	}
+	if err = grb.Apply(ctx, invdeg, nil, nil, func(x float64) float64 { return 1 / x }, outdeg, grb.Desc{}); err != nil {
+		return nil, nil, err
+	}
+	if pr, err = filled(ctx, A.NRows(), 0.0); err != nil {
+		return nil, nil, err
+	}
+	return invdeg, pr, nil
 }
 
 // Ranks extracts a dense rank slice for verification (implicit entries 0).

@@ -3,18 +3,21 @@ package lagraph
 import (
 	"testing"
 
+	"graphstudy/internal/adapt"
 	"graphstudy/internal/gen"
 	"graphstudy/internal/grb"
 	"graphstudy/internal/verify"
 )
 
+// TestBFSPushPullMatchesReference: direction-optimized BFS (AdaptiveBFS
+// with the free-running engine) matches the serial reference.
 func TestBFSPushPullMatchesReference(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		A := grb.BoolMatrixFromGraph(g)
 		src := g.MaxOutDegreeVertex()
 		want := verify.BFSLevels(g, src)
 		for cname, ctx := range testContexts() {
-			dist, rounds, _, err := BFSPushPull(ctx, A, int(src))
+			dist, rounds, _, err := AdaptiveBFS(ctx, A, int(src), adapt.DefaultConfig())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", gname, cname, err)
 			}
@@ -37,7 +40,7 @@ func TestBFSPushPullActuallyPulls(t *testing.T) {
 	in, _ := gen.ByName("rmat22")
 	g := in.Build(gen.ScaleTest)
 	A := grb.BoolMatrixFromGraph(g)
-	_, _, pulls, err := BFSPushPull(grb.NewGaloisBLASContext(4), A, int(g.MaxOutDegreeVertex()))
+	_, _, pulls, err := AdaptiveBFS(grb.NewGaloisBLASContext(4), A, int(g.MaxOutDegreeVertex()), adapt.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +86,15 @@ func TestBellmanFordNeedsMoreRoundsThanDeltaStepping(t *testing.T) {
 	}
 }
 
+// TestBFSFusedMatchesReference: BFS through the fusion planner (the
+// bfs-expand window) matches the serial reference.
 func TestBFSFusedMatchesReference(t *testing.T) {
 	for gname, g := range testGraphs(t) {
 		A := grb.BoolMatrixFromGraph(g)
 		src := g.MaxOutDegreeVertex()
 		want := verify.BFSLevels(g, src)
 		for cname, ctx := range testContexts() {
-			dist, rounds, err := BFSFused(ctx, A, int(src))
+			dist, rounds, err := FusedBFS(ctx, A, int(src))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", gname, cname, err)
 			}

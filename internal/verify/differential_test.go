@@ -290,3 +290,30 @@ func TestDifferentialAllSystems(t *testing.T) {
 		})
 	}
 }
+
+// TestPageRankVariantsMatchReference runs every valid (pr, SS/GB, variant)
+// cell through core.RunVerified on the whole family: the default variant
+// must match the power-iteration reference, and gb-res with its fused,
+// adaptive, and incremental ports the serial residual reference, digest
+// for digest.
+func TestPageRankVariantsMatchReference(t *testing.T) {
+	for _, tc := range diffCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			mk, cleanup := runOn(t, "prref-"+tc.name, tc.g)
+			defer cleanup()
+			for _, sys := range []core.System{core.SS, core.GB} {
+				for _, v := range core.Variants() {
+					if !core.ValidVariant(core.PR, sys, v) {
+						continue
+					}
+					if _, ok := core.ReferenceCheck(mk(core.PR, sys, v)); !ok {
+						t.Errorf("pr/%v: no serial reference", core.Label(sys, v))
+					}
+					if _, err := core.RunVerified(mk(core.PR, sys, v)); err != nil {
+						t.Errorf("pr/%v: %v", core.Label(sys, v), err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ package verify_test
 import (
 	"testing"
 
+	"graphstudy/internal/adapt"
 	"graphstudy/internal/core"
 	"graphstudy/internal/gen"
 	"graphstudy/internal/grb"
@@ -82,9 +83,10 @@ func TestPRMatrixMaterializesMore(t *testing.T) {
 	}
 }
 
-// TestPullDensifiesMoreThanPushPull: the pure-pull BFS densifies its
-// frontier every round; the direction-optimized variant densifies only on
-// the few dense rounds. The grb.Convert.dense spans carry the cost.
+// TestPullDensifiesMoreThanPushPull: BFS forced to pull every round with a
+// sparse frontier densifies a private copy of the frontier each round; the
+// free-running direction-optimized engine densifies only on the few dense
+// rounds. The grb.Convert.dense spans carry the cost.
 func TestPullDensifiesMoreThanPushPull(t *testing.T) {
 	in, err := gen.ByName("rmat22")
 	if err != nil {
@@ -94,36 +96,29 @@ func TestPullDensifiesMoreThanPushPull(t *testing.T) {
 	ctx := grb.NewSuiteSparseContext(2)
 	src := int(p.Src)
 
-	densifyBytes := func(run func() error) int64 {
+	densifyBytes := func(cfg adapt.Config) (int64, []uint32) {
 		tr := trace.New()
 		trace.Install(tr)
 		defer trace.Install(nil)
-		if err := run(); err != nil {
+		dist, _, _, err := lagraph.AdaptiveBFS(ctx, p.ABool, src, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		levels := lagraph.BFSLevels(dist)
 		st := tr.Summary().Find(trace.CatKernel, "grb.Convert.dense")
 		if st == nil {
-			return 0
+			return 0, levels
 		}
-		return st.Bytes
+		return st.Bytes, levels
 	}
 
-	var pullLv, ppLv *grb.Vector[int32]
-	pull := densifyBytes(func() error {
-		var err error
-		pullLv, _, err = lagraph.BFSPull(ctx, p.ABool, src)
-		return err
-	})
-	pp := densifyBytes(func() error {
-		var err error
-		ppLv, _, _, err = lagraph.BFSPushPull(ctx, p.ABool, src)
-		return err
-	})
+	pull, a := densifyBytes(adapt.DefaultConfig().Force(adapt.Pull, grb.List))
+	pp, b := densifyBytes(adapt.DefaultConfig())
+	t.Logf("densified bytes: forced pull %d, free-running %d", pull, pp)
 	if pull <= pp {
 		t.Errorf("pure-pull bfs densified %d bytes, push-pull %d; pull must pay more", pull, pp)
 	}
 	// Both strategies must still agree on the answer.
-	a, b := lagraph.BFSLevels(pullLv), lagraph.BFSLevels(ppLv)
 	if len(a) != len(b) {
 		t.Fatalf("level vector lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -187,5 +182,38 @@ func TestBFSOperatorMix(t *testing.T) {
 	if s.CatTotal(trace.CatKernel) > s.CatTotal(trace.CatRound) {
 		t.Errorf("kernel time %v exceeds enclosing round time %v",
 			s.CatTotal(trace.CatKernel), s.CatTotal(trace.CatRound))
+	}
+}
+
+// TestEagerColumnStaysEager: eager and fused BFS, residual pagerank, and
+// delta-stepping sssp share one round loop, so a runner mix-up would
+// silently fuse the paper's matrix-API column. Eager traces (the SS/GB
+// default and gb-res variants) must carry no fused-category span at all;
+// fused traces must show the planner at work, at least one fuse.plan span
+// per round.
+func TestEagerColumnStaysEager(t *testing.T) {
+	for _, gname := range []string{"rmat22", "road-USA-W"} {
+		for _, app := range []core.App{core.BFS, core.PR, core.SSSP} {
+			for _, sys := range []core.System{core.SS, core.GB} {
+				for _, v := range []core.Variant{core.VDefault, core.VGBRes} {
+					if !core.ValidVariant(app, sys, v) {
+						continue
+					}
+					r := tracedRun(t, app, sys, v, gname)
+					for _, st := range r.Trace.Ops {
+						if st.Cat == trace.CatFused {
+							t.Errorf("%s %v/%v%s: eager trace has fused span %s x%d",
+								gname, app, sys, v, st.Op, st.Count)
+						}
+					}
+				}
+				r := tracedRun(t, app, sys, core.VFused, gname)
+				st := r.Trace.Find(trace.CatFused, "fuse.plan")
+				if st == nil || st.Count < int64(r.Rounds) {
+					t.Errorf("%s %v/%v%s: fuse.plan spans %+v for %d rounds; want at least one per round",
+						gname, app, sys, core.VFused, st, r.Rounds)
+				}
+			}
+		}
 	}
 }

@@ -209,6 +209,48 @@ func PageRank(g *graph.Graph, d float64, iters int) []float64 {
 	return rank
 }
 
+// PageRankResidual runs the residual formulation of pagerank for iters
+// iterations, the computation of the matrix API's gb-res variant and its
+// fused, adaptive, and incremental ports: the residual starts at (1-d)/n,
+// and each iteration folds it into the rank, then replaces it with d times
+// its push along the out-edges, scaled by the reciprocal out-degree. There
+// is no dangling redistribution, so the ranks do not sum to one. The
+// arithmetic follows the matrix kernels operation for operation (reciprocal
+// degree times residual; in-edge contributions summed in ascending source
+// order), so digests compare exactly.
+func PageRankResidual(g *graph.Graph, d float64, iters int) []float64 {
+	n := int(g.NumNodes)
+	if n == 0 {
+		return nil
+	}
+	rank := make([]float64, n)
+	res := make([]float64, n)
+	next := make([]float64, n)
+	for i := range res {
+		res[i] = (1 - d) / float64(n)
+	}
+	for it := 0; it < iters; it++ {
+		for i := range next {
+			next[i] = 0
+		}
+		for u := 0; u < n; u++ {
+			rank[u] += res[u]
+			deg := g.OutDegree(uint32(u))
+			if deg == 0 {
+				continue
+			}
+			share := res[u] * (1 / float64(deg))
+			for _, v := range g.OutEdges(uint32(u)) {
+				next[v] += share
+			}
+		}
+		for i := range next {
+			res[i] = d * next[i]
+		}
+	}
+	return rank
+}
+
 // MaxAbsDiff returns the L-infinity distance between two float vectors.
 func MaxAbsDiff(a, b []float64) float64 {
 	m := 0.0

@@ -44,9 +44,10 @@ test-parallel:
 test-determinism:
 	$(GO) test ./internal/bench ./internal/verify -run 'Deterministic|DigestStability' -count=20
 
-# Short fuzzing pass over every untrusted-input decoder. Go allows one fuzz
-# target per invocation, so each runs separately; 30s apiece keeps this
-# CI-sized while still exercising the mutator beyond the seed corpus.
+# Short fuzzing pass over every untrusted-input decoder, plus the snapshot
+# merge checked against a full rebuild. Go allows one fuzz target per
+# invocation, so each runs separately; 30s apiece keeps this CI-sized while
+# still exercising the mutator beyond the seed corpus.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGSG2$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDeltaLog$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzMaterializeDeltas$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzDagEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fuse/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptEquivalence$$' -fuzztime $(FUZZTIME) ./internal/adapt/
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalEquivalence$$' -fuzztime $(FUZZTIME) ./internal/verify/

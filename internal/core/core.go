@@ -187,6 +187,52 @@ func ValidVariant(a App, s System, v Variant) bool {
 	return false
 }
 
+// formsFor lists the derived forms a run of (a, s, v) reads from its
+// Prepared input, prerequisites included, so RunCtx can build them before
+// the clock starts. It mirrors dispatch for every triple, valid or not.
+// wide selects 64-bit sssp weights (gen.Input.BigDelta). VIncremental lists
+// only its warm path's form; a fallback from scratch builds the rest inside
+// its run, under a delta.fallback.prepare span, because recomputing is what
+// a fallback costs.
+func formsFor(a App, s System, v Variant, wide bool) []form {
+	if s == LS {
+		switch a {
+		case CC, KTruss:
+			return []form{fSym}
+		case TC:
+			return []form{fSym, fSymSorted}
+		}
+		return nil // bfs, pr and sssp read G
+	}
+	switch a {
+	case BFS:
+		if v == VIncremental {
+			return []form{fAW32}
+		}
+		return []form{fABool}
+	case CC:
+		if v == VIncremental {
+			return nil
+		}
+		return []form{fSym, fASymU32}
+	case KTruss:
+		return []form{fSym, fASymInt}
+	case PR:
+		return []form{fAFloat}
+	case SSSP:
+		if wide {
+			return []form{fAW64}
+		}
+		return []form{fAW32}
+	case TC:
+		if v == VGBSort || v == VGBLL {
+			return []form{fSym, fSymSorted, fASrtInt}
+		}
+		return []form{fSym, fASymInt}
+	}
+	return nil
+}
+
 // Label renders a (system, variant) pair the way the paper does.
 func Label(s System, v Variant) string {
 	if v == VDefault {

@@ -126,6 +126,17 @@ func incrFallback(reason string, n int) {
 	sp.End()
 }
 
+// fallbackForm returns a Prepared form that only a from-scratch run reads.
+// formsFor leaves it out of an incremental run's pre-clock preparation, so
+// a fallback builds it inside its timed region; the delta.fallback.prepare
+// span attributes that time (NNZOut 0: no delta work is redone here).
+func fallbackForm[T any](get func() T) T {
+	sp := trace.Begin(trace.CatDelta, "delta.fallback.prepare")
+	v := get()
+	sp.End()
+	return v
+}
+
 // runIncrementalBFS answers BFS for the spec's snapshot, warm-starting from
 // the previous snapshot's levels when the delta is additions-only.
 func runIncrementalBFS(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, int, error) {
@@ -134,7 +145,7 @@ func runIncrementalBFS(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, i
 	if warm && st.src == p.Src && len(st.levels) == n {
 		// The (min, hop) relaxation ignores matrix values, so the prepared
 		// weight matrix serves directly — no per-run cast of the pattern.
-		levels, r, err := lagraph.IncrementalBFS(ctx, p.AW32, int(p.Src), st.levels, adds)
+		levels, r, err := lagraph.IncrementalBFS(ctx, p.AW32(), int(p.Src), st.levels, adds)
 		if err != nil {
 			return nil, r, err
 		}
@@ -144,7 +155,7 @@ func runIncrementalBFS(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, i
 	if spec.Mutation != nil {
 		incrFallback("bfs", n)
 	}
-	dist, r, err := lagraph.BFS(ctx, p.ABool, int(p.Src))
+	dist, r, err := lagraph.BFS(ctx, fallbackForm(p.ABool), int(p.Src))
 	if err != nil {
 		return nil, r, err
 	}
@@ -167,7 +178,7 @@ func runIncrementalCC(ctx *grb.Context, p *Prepared, spec RunSpec) ([]uint32, in
 	if spec.Mutation != nil {
 		incrFallback("cc", n)
 	}
-	f, r, err := lagraph.CCFastSV(ctx, p.ASymU32)
+	f, r, err := lagraph.CCFastSV(ctx, fallbackForm(p.ASymU32))
 	if err != nil {
 		return nil, r, err
 	}
@@ -185,7 +196,7 @@ func runIncrementalPR(ctx *grb.Context, p *Prepared, spec RunSpec) (*grb.Vector[
 	n := int(p.G.NumNodes)
 	st, adds, warm := incrTake(spec)
 	if warm && st.n == n && len(st.traj) == opt.Iterations {
-		pr, traj, err := lagraph.IncrementalPageRank(ctx, p.AFloat, opt, st.traj, adds)
+		pr, traj, err := lagraph.IncrementalPageRank(ctx, p.AFloat(), opt, st.traj, adds)
 		if err != nil {
 			return nil, opt.Iterations, err
 		}
@@ -195,7 +206,7 @@ func runIncrementalPR(ctx *grb.Context, p *Prepared, spec RunSpec) (*grb.Vector[
 	if spec.Mutation != nil {
 		incrFallback("pr", n)
 	}
-	pr, traj, err := lagraph.PageRankResidualTraj(ctx, p.AFloat, opt)
+	pr, traj, err := lagraph.PageRankResidualTraj(ctx, p.AFloat(), opt)
 	if err != nil {
 		return nil, opt.Iterations, err
 	}

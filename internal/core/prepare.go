@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"graphstudy/internal/gen"
 	"graphstudy/internal/graph"
@@ -9,28 +10,155 @@ import (
 	"graphstudy/internal/lonestar"
 )
 
-// Prepared bundles every preprocessed form of one input graph that any
-// system might need. Preparation cost is excluded from reported runtimes,
-// matching the study ("runtimes do not include graph loading and
-// preprocessing"). All fields are read-only after construction.
+// Prepared holds one input graph and the derived forms the systems read.
+// Preparation cost is excluded from reported runtimes, matching the study
+// ("runtimes do not include graph loading and preprocessing"), but only
+// the base graph and the study source are built up front. Every derived
+// form is built on first use, once, behind its own sync.Once, so a run
+// pays only for the forms it reads and concurrent runs share them; RunCtx
+// builds the forms formsFor lists before it starts the clock. All fields
+// and built forms are read-only.
 type Prepared struct {
 	In  *gen.Input
 	Sc  gen.Scale
 	G   *graph.Graph // base directed weighted graph, sorted adjacency, CSC built
 	Src uint32       // study source: max out-degree vertex (0 for roads)
 
-	// Undirected forms for cc/tc/ktruss.
-	Sym       *graph.Graph // symmetrized, sorted
-	SymSorted *graph.Graph // Sym relabeled by decreasing degree, sorted
+	// built records which forms exist, so tests can check formsFor.
+	built [numForms]atomic.Bool
 
-	// Matrix forms for the LAGraph side.
-	ABool   *grb.Matrix[bool]    // pattern of G (bfs)
-	AFloat  *grb.Matrix[float64] // 1.0 per edge of G (pr)
-	AW32    *grb.Matrix[uint32]  // weights of G (sssp)
-	AW64    *grb.Matrix[uint64]  // 64-bit weights (sssp on eukarya)
-	ASymU32 *grb.Matrix[uint32]  // pattern of Sym as uint32 (cc FastSV)
-	ASymInt *grb.Matrix[int64]   // pattern of Sym as 1s (tc gb, ktruss)
-	ASrtInt *grb.Matrix[int64]   // pattern of SymSorted (tc gb-sort/gb-ll)
+	sym, symSorted   lazy[*graph.Graph]
+	aBool            lazy[*grb.Matrix[bool]]
+	aFloat           lazy[*grb.Matrix[float64]]
+	aW32, aSymU32    lazy[*grb.Matrix[uint32]]
+	aW64             lazy[*grb.Matrix[uint64]]
+	aSymInt, aSrtInt lazy[*grb.Matrix[int64]]
+}
+
+// form names one derived form of a Prepared input.
+type form int
+
+const (
+	fSym form = iota
+	fSymSorted
+	fABool
+	fAFloat
+	fAW32
+	fAW64
+	fASymU32
+	fASymInt
+	fASrtInt
+	numForms
+)
+
+// lazy is one derived form, built by the first get.
+type lazy[T any] struct {
+	once sync.Once
+	v    T
+}
+
+// get returns the form, building it on the first call and marking it built
+// in p.
+func (l *lazy[T]) get(p *Prepared, f form, build func() T) T {
+	l.once.Do(func() {
+		l.v = build()
+		p.built[f].Store(true)
+	})
+	return l.v
+}
+
+// Sym is the undirected closure of G, sorted, with in-edges (cc, tc and
+// ktruss on LS, and the symmetric matrix forms).
+func (p *Prepared) Sym() *graph.Graph {
+	return p.sym.get(p, fSym, func() *graph.Graph {
+		sym := p.G.Symmetrize()
+		sym.SortAdjacency()
+		sym.BuildIn()
+		return sym
+	})
+}
+
+// SymSorted is Sym relabeled by decreasing degree, sorted (tc on LS and the
+// degree-sorted matrix).
+func (p *Prepared) SymSorted() *graph.Graph {
+	return p.symSorted.get(p, fSymSorted, func() *graph.Graph { return lonestar.SortByDegree(p.Sym()) })
+}
+
+// ABool is the pattern of G with its CSC mirror (bfs).
+func (p *Prepared) ABool() *grb.Matrix[bool] {
+	return p.aBool.get(p, fABool, func() *grb.Matrix[bool] {
+		m := grb.BoolMatrixFromGraph(p.G)
+		m.EnsureCSC() // the pull kernels read it
+		return m
+	})
+}
+
+// AFloat is 1.0 per edge of G with its CSC mirror (pr).
+func (p *Prepared) AFloat() *grb.Matrix[float64] {
+	return p.aFloat.get(p, fAFloat, func() *grb.Matrix[float64] {
+		m := grb.FloatMatrixFromGraph(p.G)
+		m.EnsureCSC() // the pull kernels read it
+		return m
+	})
+}
+
+// AW32 holds the weights of G (sssp, and the incremental bfs warm path).
+func (p *Prepared) AW32() *grb.Matrix[uint32] {
+	return p.aW32.get(p, fAW32, func() *grb.Matrix[uint32] { return grb.WeightMatrixFromGraph(p.G) })
+}
+
+// AW64 holds the weights of G as 64-bit values (sssp on eukarya).
+func (p *Prepared) AW64() *grb.Matrix[uint64] {
+	return p.aW64.get(p, fAW64, func() *grb.Matrix[uint64] {
+		return grb.MatrixFromGraph(p.G, func(w uint32) uint64 { return uint64(w) })
+	})
+}
+
+// ASymU32 is the pattern of Sym as uint32 (cc FastSV).
+func (p *Prepared) ASymU32() *grb.Matrix[uint32] {
+	return p.aSymU32.get(p, fASymU32, func() *grb.Matrix[uint32] {
+		return grb.MatrixFromGraph(p.Sym(), func(uint32) uint32 { return 1 })
+	})
+}
+
+// ASymInt is the pattern of Sym as 1s (tc on GB, ktruss).
+func (p *Prepared) ASymInt() *grb.Matrix[int64] {
+	return p.aSymInt.get(p, fASymInt, func() *grb.Matrix[int64] {
+		return grb.MatrixFromGraph(p.Sym(), func(uint32) int64 { return 1 })
+	})
+}
+
+// ASrtInt is the pattern of SymSorted as 1s (tc gb-sort and gb-ll).
+func (p *Prepared) ASrtInt() *grb.Matrix[int64] {
+	return p.aSrtInt.get(p, fASrtInt, func() *grb.Matrix[int64] {
+		return grb.MatrixFromGraph(p.SymSorted(), func(uint32) int64 { return 1 })
+	})
+}
+
+// build makes sure every listed form exists.
+func (p *Prepared) build(forms []form) {
+	for _, f := range forms {
+		switch f {
+		case fSym:
+			p.Sym()
+		case fSymSorted:
+			p.SymSorted()
+		case fABool:
+			p.ABool()
+		case fAFloat:
+			p.AFloat()
+		case fAW32:
+			p.AW32()
+		case fAW64:
+			p.AW64()
+		case fASymU32:
+			p.ASymU32()
+		case fASymInt:
+			p.ASymInt()
+		case fASrtInt:
+			p.ASrtInt()
+		}
+	}
 }
 
 var (
@@ -48,8 +176,9 @@ type prepEntry struct {
 	p    *Prepared
 }
 
-// Prepare returns the cached preprocessed forms of the named input at the
-// given scale, building them on first use.
+// Prepare returns the cached Prepared of the named input at the given
+// scale, building the base graph and source on first use; the derived
+// forms follow on demand.
 func Prepare(in *gen.Input, sc gen.Scale) *Prepared {
 	key := prepKey{in.Name, sc}
 	prepMu.Lock()
@@ -61,31 +190,7 @@ func Prepare(in *gen.Input, sc gen.Scale) *Prepared {
 	prepMu.Unlock()
 	e.once.Do(func() {
 		g := in.Build(sc)
-		sym := g.Symmetrize()
-		sym.SortAdjacency()
-		sym.BuildIn()
-		symSorted := lonestar.SortByDegree(sym)
-
-		p := &Prepared{
-			In:        in,
-			Sc:        sc,
-			G:         g,
-			Src:       in.Source(g),
-			Sym:       sym,
-			SymSorted: symSorted,
-			ABool:     grb.BoolMatrixFromGraph(g),
-			AFloat:    grb.FloatMatrixFromGraph(g),
-			AW32:      grb.WeightMatrixFromGraph(g),
-			AW64:      grb.MatrixFromGraph(g, func(w uint32) uint64 { return uint64(w) }),
-			ASymU32:   grb.MatrixFromGraph(sym, func(uint32) uint32 { return 1 }),
-			ASymInt:   grb.MatrixFromGraph(sym, func(uint32) int64 { return 1 }),
-			ASrtInt:   grb.MatrixFromGraph(symSorted, func(uint32) int64 { return 1 }),
-		}
-		// CSC mirrors the pull kernels use; built here so it is part of
-		// preprocessing, not of the timed region.
-		p.AFloat.EnsureCSC()
-		p.ABool.EnsureCSC()
-		e.p = p
+		e.p = &Prepared{In: in, Sc: sc, G: g, Src: in.Source(g)}
 	})
 	return e.p
 }

@@ -77,9 +77,10 @@ type Result struct {
 	Trace *trace.Summary
 }
 
-// Run executes one measurement. Preparation (generation, symmetrization,
-// matrix building) happens before the clock starts. It is a thin shim over
-// RunCtx for callers that have no context of their own.
+// Run executes one measurement. Preparation (generation, and the
+// symmetrized and matrix forms the run reads) happens before the clock
+// starts. It is a thin shim over RunCtx for callers that have no context
+// of their own.
 func Run(spec RunSpec) Result {
 	return RunCtx(context.Background(), spec)
 }
@@ -99,6 +100,7 @@ func RunCtx(ctx context.Context, spec RunSpec) Result {
 	}
 
 	p := Prepare(spec.Input, spec.Scale)
+	p.build(formsFor(spec.App, spec.System, spec.Variant, spec.Input.BigDelta))
 
 	var stop atomic.Bool
 	if ctx.Done() != nil {
@@ -205,7 +207,7 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 				return dist, rounds, err
 			}
 		}
-		dist, r, err := bfs(ctx, p.ABool, int(p.Src))
+		dist, r, err := bfs(ctx, p.ABool(), int(p.Src))
 		if err != nil {
 			return "", 0, r, err
 		}
@@ -215,13 +217,13 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 	case CC:
 		switch {
 		case spec.System == LS && spec.Variant == VLSSV:
-			labels, r, err := lonestar.CCShiloachVishkin(p.Sym, lsOpt)
+			labels, r, err := lonestar.CCShiloachVishkin(p.Sym(), lsOpt)
 			if err != nil {
 				return "", 0, r, err
 			}
 			return summarizeComponents(labels), componentCheck(labels), r, nil
 		case spec.System == LS:
-			labels, err := lonestar.CCAfforest(p.Sym, lsOpt)
+			labels, err := lonestar.CCAfforest(p.Sym(), lsOpt)
 			if err != nil {
 				return "", 0, 0, err
 			}
@@ -245,7 +247,7 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 					return lagraph.AdaptiveCC(ctx, A, cfg)
 				}
 			}
-			f, r, err := fastsv(ctx, p.ASymU32)
+			f, r, err := fastsv(ctx, p.ASymU32())
 			if err != nil {
 				return "", 0, r, err
 			}
@@ -256,7 +258,7 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 	case KTruss:
 		k := p.In.KTrussK()
 		if spec.System == LS {
-			res, err := lonestar.KTruss(p.Sym, k, lsOpt)
+			res, err := lonestar.KTruss(p.Sym(), k, lsOpt)
 			if err != nil {
 				return "", 0, res.Rounds, err
 			}
@@ -266,7 +268,7 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 		if err != nil {
 			return "", 0, 0, err
 		}
-		res, err := lagraph.KTruss(ctx, p.ASymInt, k)
+		res, err := lagraph.KTruss(ctx, p.ASymInt(), k)
 		if err != nil {
 			return "", 0, res.Rounds, err
 		}
@@ -298,17 +300,17 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 		var r *grb.Vector[float64]
 		switch spec.Variant {
 		case VGBRes:
-			r, err = lagraph.PageRankResidual(ctx, p.AFloat, opt)
+			r, err = lagraph.PageRankResidual(ctx, p.AFloat(), opt)
 		case VFused:
 			// The fused DAG port of the residual formulation; its digest
 			// matches gb-res bit for bit (the fused differential suite).
-			r, err = lagraph.FusedPageRank(ctx, p.AFloat, opt)
+			r, err = lagraph.FusedPageRank(ctx, p.AFloat(), opt)
 		case VAdaptive:
 			// The adaptive port of the same formulation; digest-compatible
 			// with gb-res under the quantized rank check.
-			r, err = lagraph.AdaptivePageRank(ctx, p.AFloat, opt, adaptConfig(spec))
+			r, err = lagraph.AdaptivePageRank(ctx, p.AFloat(), opt, adaptConfig(spec))
 		default:
-			r, err = lagraph.PageRank(ctx, p.AFloat, opt)
+			r, err = lagraph.PageRank(ctx, p.AFloat(), opt)
 		}
 		if err != nil {
 			return "", 0, 0, err
@@ -348,14 +350,14 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 		}
 		// The study switches to 64-bit distances for eukarya only.
 		if p.In.BigDelta {
-			res, err := sssp64(ctx, p.AW64, int(p.Src), uint64(delta))
+			res, err := sssp64(ctx, p.AW64(), int(p.Src), uint64(delta))
 			if err != nil {
 				return "", 0, res.Rounds, err
 			}
 			d := lagraph.Distances(res.Dist)
 			return summarizeDists(d), checksum64(d), res.Rounds, nil
 		}
-		res, err := sssp32(ctx, p.AW32, int(p.Src), delta)
+		res, err := sssp32(ctx, p.AW32(), int(p.Src), delta)
 		if err != nil {
 			return "", 0, res.Rounds, err
 		}
@@ -364,7 +366,7 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 
 	case TC:
 		if spec.System == LS {
-			count, err := lonestar.TriangleCount(p.SymSorted, lsOpt)
+			count, err := lonestar.TriangleCount(p.SymSorted(), lsOpt)
 			if err != nil {
 				return "", 0, 0, err
 			}
@@ -374,13 +376,15 @@ func dispatch(p *Prepared, spec RunSpec, stop *atomic.Bool) (value string, check
 		if err != nil {
 			return "", 0, 0, err
 		}
-		variant := lagraph.TCSandiaDot
-		m := p.ASymInt
+		var variant lagraph.TCVariant
+		var m *grb.Matrix[int64]
 		switch spec.Variant {
 		case VGBSort:
-			variant, m = lagraph.TCSorted, p.ASrtInt
+			variant, m = lagraph.TCSorted, p.ASrtInt()
 		case VGBLL:
-			variant, m = lagraph.TCListing, p.ASrtInt
+			variant, m = lagraph.TCListing, p.ASrtInt()
+		default:
+			variant, m = lagraph.TCSandiaDot, p.ASymInt()
 		}
 		count, err := lagraph.TriangleCount(ctx, m, variant)
 		if err != nil {

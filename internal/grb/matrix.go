@@ -3,6 +3,8 @@ package grb
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"graphstudy/internal/galois"
 	"graphstudy/internal/perfmodel"
@@ -42,10 +44,14 @@ type Matrix[T any] struct {
 	colIdx       []int32
 	vals         []T
 
-	// CSC mirror (nil until EnsureCSC).
-	colPtr []int64
-	rowIdx []int32
-	cvals  []T
+	// CSC mirror (nil until EnsureCSC). cscOnce guards the build, so runs
+	// sharing a prepared matrix may all call EnsureCSC; hasCSC publishes a
+	// finished build to callers that only ask HasCSC.
+	cscOnce sync.Once
+	hasCSC  atomic.Bool
+	colPtr  []int64
+	rowIdx  []int32
+	cvals   []T
 
 	slot uint32
 }
@@ -130,7 +136,7 @@ func (m *Matrix[T]) Row(i int) ([]int32, []T) {
 func (m *Matrix[T]) RowDegree(i int) int64 { return m.rowPtr[i+1] - m.rowPtr[i] }
 
 // HasCSC reports whether the CSC mirror is built.
-func (m *Matrix[T]) HasCSC() bool { return m.colPtr != nil }
+func (m *Matrix[T]) HasCSC() bool { return m.hasCSC.Load() }
 
 // Col returns the row indices and values of column j (CSC mirror must have
 // been built with EnsureCSC).
@@ -139,12 +145,12 @@ func (m *Matrix[T]) Col(j int) ([]int32, []T) {
 	return m.rowIdx[lo:hi], m.cvals[lo:hi]
 }
 
-// EnsureCSC builds the CSC mirror if absent. Not safe to call concurrently
-// with itself; callers build it once during setup.
-func (m *Matrix[T]) EnsureCSC() {
-	if m.colPtr != nil {
-		return
-	}
+// EnsureCSC builds the CSC mirror if absent. It is safe to call from
+// concurrent runs: the first caller builds (and records the pass with the
+// performance model), the others wait for it.
+func (m *Matrix[T]) EnsureCSC() { m.cscOnce.Do(m.buildCSC) }
+
+func (m *Matrix[T]) buildCSC() {
 	nnz := m.NVals()
 	colPtr := make([]int64, m.ncols+1)
 	for _, c := range m.colIdx {
@@ -168,6 +174,7 @@ func (m *Matrix[T]) EnsureCSC() {
 		}
 	}
 	m.colPtr, m.rowIdx, m.cvals = colPtr, rowIdx, cvals
+	m.hasCSC.Store(true)
 	traceMatrixPass(m, m)
 }
 

@@ -2,6 +2,7 @@ package grb
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,29 @@ func TestCSCMirrorsCSR(t *testing.T) {
 	if !m.HasCSC() {
 		t.Fatal("HasCSC false after EnsureCSC")
 	}
+}
+
+// TestEnsureCSCConcurrentFirstUse: runs sharing one prepared matrix may
+// all reach EnsureCSC first. Under -race this fails if the build is
+// unsynchronised, and without it a caller could see colPtr set while
+// rowIdx is still nil.
+func TestEnsureCSCConcurrentFirstUse(t *testing.T) {
+	m := build4(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if m.HasCSC() {
+				m.Col(0)
+			}
+			m.EnsureCSC()
+			if rows, _ := m.Col(2); len(rows) != 2 {
+				t.Errorf("Col(2) has %d rows, want 2", len(rows))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTrilTriu(t *testing.T) {

@@ -305,24 +305,32 @@ func (r *Registry) load(in *gen.Input, name, key string, sc gen.Scale, external 
 // The base is acquired through the registry first, which (a) reuses a
 // resident base instead of re-decoding it and (b) holds a lease so the
 // budget cannot evict the base mid-materialization. Deltas are applied on
-// top of the leased base; if the log range predates the base object's
-// epoch (a compaction won a race, or the epoch is historical), the
-// snapshot rebuilds from disk instead.
+// top of the newest resident snapshot of the same base below the epoch,
+// or else on the leased base, so a stream of epochs costs one batch's
+// merge each rather than a merge of the whole log; a snapshot's content is
+// the same whichever ancestor it is merged from. If the log range predates
+// the base object's epoch (a compaction won a race, or the epoch is
+// historical), the snapshot rebuilds from disk instead.
 func (r *Registry) loadSnapshot(base string, epoch uint64, sc gen.Scale, snapName string) (*graph.Graph, bool, error) {
 	bh, err := r.Acquire(base, sc)
 	if err != nil {
 		return nil, false, err
 	}
 	defer bh.Release()
+	from, start := bh.e.baseEpoch, bh.Graph()
+	if ph := r.acquireAncestor(base, from, epoch); ph != nil {
+		defer ph.Release()
+		from, start = ph.e.epoch, ph.Graph()
+	}
 	var g *graph.Graph
-	batches, err := r.store.Deltas(base, bh.e.baseEpoch, epoch)
+	batches, err := r.store.Deltas(base, from, epoch)
 	switch {
 	case err == nil && len(batches) == 0:
 		// The snapshot IS the base; share the resident object. (Its bytes
 		// are charged to both entries — over-counting, never under.)
-		g = bh.Graph()
+		g = start
 	case err == nil:
-		g = MaterializeDeltas(bh.Graph(), batches)
+		g = MaterializeDeltas(start, batches)
 		g.SortAdjacency()
 		g.BuildIn()
 	case errors.Is(err, ErrEpochCompacted):
@@ -337,6 +345,28 @@ func (r *Registry) loadSnapshot(base string, epoch uint64, sc gen.Scale, snapNam
 	}
 	g = gen.SetCached(snapName, sc, g)
 	return g, true, nil
+}
+
+// acquireAncestor leases the loaded snapshot of base with the highest
+// epoch in [from, epoch), or returns nil when none is resident.
+func (r *Registry) acquireAncestor(base string, from, epoch uint64) *Handle {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var best *regEntry
+	for _, e := range r.entries {
+		if !e.snapshot || !e.done || e.err != nil || e.epoch < from || e.epoch >= epoch {
+			continue
+		}
+		if b, _, _ := ParseSnapshotName(e.key); b == base && (best == nil || e.epoch > best.epoch) {
+			best = e
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	best.refs++
+	best.lastUsed = r.tickLocked()
+	return &Handle{g: best.g, r: r, e: best}
 }
 
 // tickLocked advances the LRU clock. Callers hold r.mu.
@@ -533,27 +563,19 @@ func (r *Registry) MutationView(base string, epoch uint64) *core.MutationView {
 }
 
 // NetDeltas reduces a batch sequence to its net effect per edge: the last
-// op on each (src, dst) wins. The classification is sound rather than
+// op on each (src, dst) wins, and both lists come out sorted by (src, dst). The classification is sound rather than
 // minimal — an upsert matching the pre-existing edge still reports as an
 // add (a superset of the true dirty set), and an add-then-delete of a
 // previously absent edge still reports as a delete (forcing a from-scratch
 // fallback); both err toward recomputation, never toward staleness.
 func NetDeltas(batches []DeltaBatch) (adds, dels []graph.Edge) {
-	last := map[uint64]DeltaOp{}
-	for _, b := range batches {
-		for _, op := range b.Ops {
-			last[uint64(op.Src)<<32|uint64(op.Dst)] = op
-		}
-	}
-	for _, op := range last {
+	for _, op := range netOps(batches) {
 		if op.Del {
 			dels = append(dels, graph.Edge{Src: op.Src, Dst: op.Dst})
 		} else {
 			adds = append(adds, graph.Edge{Src: op.Src, Dst: op.Dst, W: op.W})
 		}
 	}
-	graph.SortEdges(adds)
-	graph.SortEdges(dels)
 	return adds, dels
 }
 

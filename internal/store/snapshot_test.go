@@ -113,6 +113,59 @@ func TestRegistrySnapshotAcquire(t *testing.T) {
 	}
 }
 
+// TestRegistrySnapshotFromAncestor: snapshots merged from the newest
+// resident ancestor snapshot, in any acquire order, equal the rebuild of
+// the base plus the whole log.
+func TestRegistrySnapshotFromAncestor(t *testing.T) {
+	st := openTestStore(t)
+	putDeltaBase(t, st, "anc")
+	base, _, err := st.Get("anc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := randomLineage(rand.New(rand.NewSource(3)), base, 12, 4)
+	for _, b := range batches {
+		if _, err := st.AppendDelta("anc", b.Ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	order := []uint64{3, 1, 2, 7, 5, 12, 11, 6}
+	names := []string{"anc"}
+	for _, e := range order {
+		names = append(names, SnapshotName("anc", e))
+	}
+	snapCleanup(names...)
+	defer snapCleanup(names...)
+	reg := NewRegistry(RegistryConfig{Store: st})
+	var held []*Handle
+	defer func() {
+		for _, h := range held {
+			h.Release()
+		}
+	}()
+	for i, e := range order {
+		if i == 3 {
+			// The newest resident ancestor below 7 is 3, and none is below 1.
+			if h := reg.acquireAncestor("anc", 0, 7); h == nil || h.e.epoch != 3 {
+				t.Fatalf("ancestor of epoch 7 = %v, want epoch 3", h)
+			} else {
+				h.Release()
+			}
+			if h := reg.acquireAncestor("anc", 0, 1); h != nil {
+				t.Fatalf("ancestor of epoch 1 = epoch %d, want none", h.e.epoch)
+			}
+		}
+		h, err := reg.Acquire(SnapshotName("anc", e), gen.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, h)
+		want := materializeRebuild(base, batches[:e])
+		want.BuildIn()
+		requireSameSnapshot(t, h.Graph(), want)
+	}
+}
+
 func TestRegistryAppendCompactInvalidation(t *testing.T) {
 	st := openTestStore(t)
 	putDeltaBase(t, st, "mut")

@@ -100,7 +100,7 @@ func TestPullDensifiesMoreThanPushPull(t *testing.T) {
 		tr := trace.New()
 		trace.Install(tr)
 		defer trace.Install(nil)
-		dist, _, _, err := lagraph.AdaptiveBFS(ctx, p.ABool, src, cfg)
+		dist, _, _, err := lagraph.AdaptiveBFS(ctx, p.ABool(), src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

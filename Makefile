@@ -33,8 +33,11 @@ race:
 # Focused gate for the parallel kernel backend: the equivalence, metamorphic,
 # alias, and digest-stability suites under the race detector at a fixed
 # worker count, plus a does-it-run pass over the SpMV scaling benchmark.
+# The adapt suite sweeps no worker counts, so it registers no -grb.workers
+# flag and runs without it.
 test-parallel:
-	$(GO) test ./internal/grb ./internal/verify ./internal/fuse ./internal/adapt -race -grb.workers=4
+	$(GO) test ./internal/grb ./internal/verify ./internal/fuse -race -grb.workers=4
+	$(GO) test ./internal/adapt -race
 	$(GO) test ./internal/grb -run '^$$' -bench SpMV -benchtime 1x
 
 # Repeats the suites that assert run-to-run identity (bench cell digests,
@@ -45,7 +48,8 @@ test-determinism:
 	$(GO) test ./internal/bench ./internal/verify -run 'Deterministic|DigestStability' -count=20
 
 # Short fuzzing pass over every untrusted-input decoder, plus the snapshot
-# merge checked against a full rebuild. Go allows one fuzz target per
+# merge checked against a full rebuild and the in-place Dense kernels
+# checked against the entry-list path. Go allows one fuzz target per
 # invocation, so each runs separately; 30s apiece keeps this CI-sized while
 # still exercising the mutator beyond the seed corpus.
 FUZZTIME ?= 30s
@@ -61,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDagEquivalence$$' -fuzztime $(FUZZTIME) ./internal/fuse/
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptEquivalence$$' -fuzztime $(FUZZTIME) ./internal/adapt/
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalEquivalence$$' -fuzztime $(FUZZTIME) ./internal/verify/
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
 
 # The vet gate is pinned to an explicit analyzer list so a toolchain
 # change can never silently drop a check this repo relies on (copylocks

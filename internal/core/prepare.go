@@ -161,6 +161,39 @@ func (p *Prepared) build(forms []form) {
 	}
 }
 
+// formBytes returns the bytes of the derived forms built so far; G is not
+// counted (the dataset registry charges it as the graph). Only forms whose
+// built flag is set are read, so it may run beside a build.
+func (p *Prepared) formBytes() int64 {
+	var b int64
+	for f := form(0); f < numForms; f++ {
+		if !p.built[f].Load() {
+			continue
+		}
+		switch f {
+		case fSym:
+			b += int64(p.sym.v.SizeBytes())
+		case fSymSorted:
+			b += int64(p.symSorted.v.SizeBytes())
+		case fABool:
+			b += p.aBool.v.SizeBytes()
+		case fAFloat:
+			b += p.aFloat.v.SizeBytes()
+		case fAW32:
+			b += p.aW32.v.SizeBytes()
+		case fAW64:
+			b += p.aW64.v.SizeBytes()
+		case fASymU32:
+			b += p.aSymU32.v.SizeBytes()
+		case fASymInt:
+			b += p.aSymInt.v.SizeBytes()
+		case fASrtInt:
+			b += p.aSrtInt.v.SizeBytes()
+		}
+	}
+	return b
+}
+
 var (
 	prepMu    sync.Mutex
 	prepCache = map[prepKey]*prepEntry{}
@@ -173,7 +206,9 @@ type prepKey struct {
 
 type prepEntry struct {
 	once sync.Once
-	p    *Prepared
+	// p is set once built; atomic so PreparedBytes can read it without
+	// waiting on once.
+	p atomic.Pointer[Prepared]
 }
 
 // Prepare returns the cached Prepared of the named input at the given
@@ -190,9 +225,26 @@ func Prepare(in *gen.Input, sc gen.Scale) *Prepared {
 	prepMu.Unlock()
 	e.once.Do(func() {
 		g := in.Build(sc)
-		e.p = &Prepared{In: in, Sc: sc, G: g, Src: in.Source(g)}
+		e.p.Store(&Prepared{In: in, Sc: sc, G: g, Src: in.Source(g)})
 	})
-	return e.p
+	return e.p.Load()
+}
+
+// PreparedBytes reports the bytes of the derived forms built so far for the
+// named input at the given scale (0 when it is not prepared). The dataset
+// registry charges them to the graph's budget entry. Safe to call while
+// runs build forms.
+func PreparedBytes(name string, sc gen.Scale) int64 {
+	prepMu.Lock()
+	e := prepCache[prepKey{name, sc}]
+	prepMu.Unlock()
+	if e == nil {
+		return 0
+	}
+	if p := e.p.Load(); p != nil {
+		return p.formBytes()
+	}
+	return 0
 }
 
 // DropPrepared evicts one prepared input so its matrix forms can be

@@ -269,3 +269,38 @@ func TestIncrementalFallbackTracesPrepare(t *testing.T) {
 		t.Fatalf("fallbacks built %v, want ABool and ASymU32 among them", builtForms(p))
 	}
 }
+
+// TestPreparedBytesCountsBuiltForms: PreparedBytes charges exactly the
+// forms built so far (CSC mirrors included) and nothing for an input that
+// is not prepared; reading it beside concurrent builds is race-free.
+func TestPreparedBytesCountsBuiltForms(t *testing.T) {
+	in, err := gen.ByName("road-USA-W")
+	if err != nil {
+		t.Fatal(err)
+	}
+	DropPrepared(in.Name, gen.ScaleTest)
+	defer DropPrepared(in.Name, gen.ScaleTest)
+	if got := PreparedBytes(in.Name, gen.ScaleTest); got != 0 {
+		t.Fatalf("unprepared input charged %d bytes", got)
+	}
+	p := Prepare(in, gen.ScaleTest)
+	if got := PreparedBytes(in.Name, gen.ScaleTest); got != 0 {
+		t.Fatalf("no forms built yet, charged %d bytes", got)
+	}
+
+	var wg sync.WaitGroup
+	for _, build := range []func(){func() { p.AFloat() }, func() { p.ASymU32() }, func() { p.AW32() }} {
+		wg.Add(2)
+		go func(build func()) { defer wg.Done(); build() }(build)
+		go func() { defer wg.Done(); PreparedBytes(in.Name, gen.ScaleTest) }()
+	}
+	wg.Wait()
+
+	want := p.AFloat().SizeBytes() + p.ASymU32().SizeBytes() + p.AW32().SizeBytes() + int64(p.Sym().SizeBytes())
+	if !p.AFloat().HasCSC() {
+		t.Fatal("AFloat should carry its CSC mirror")
+	}
+	if got := PreparedBytes(in.Name, gen.ScaleTest); got != want {
+		t.Fatalf("PreparedBytes = %d, want %d", got, want)
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -68,7 +68,8 @@ type Result struct {
 	Check uint64
 	// AllocBytes is the heap allocated during the timed region — the
 	// harness's stand-in for Table III's max resident set size, and a
-	// direct measure of the materialization the study discusses.
+	// direct measure of the materialization the study discusses. It is a
+	// process-wide delta, so concurrent runs' allocations count too.
 	AllocBytes uint64
 	// Rounds reports algorithm rounds where meaningful (bfs levels, cc
 	// hook/shortcut rounds, ktruss peels, sssp light-relax rounds).
@@ -83,6 +84,15 @@ type Result struct {
 // of their own.
 func Run(spec RunSpec) Result {
 	return RunCtx(context.Background(), spec)
+}
+
+// heapAllocs reads the cumulative bytes allocated to the heap. Unlike
+// runtime.ReadMemStats it does not stop the world, so bracketing every run
+// with it does not pause the runs beside it.
+func heapAllocs() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // RunCtx executes one measurement under a caller-supplied context. The
@@ -122,8 +132,7 @@ func RunCtx(ctx context.Context, spec RunSpec) Result {
 		}
 	}
 
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
+	alloc0 := heapAllocs()
 	if spec.Trace != nil {
 		trace.Install(spec.Trace)
 	}
@@ -133,7 +142,7 @@ func RunCtx(ctx context.Context, spec RunSpec) Result {
 	if spec.Trace != nil {
 		trace.Install(nil)
 	}
-	runtime.ReadMemStats(&ms1)
+	alloc1 := heapAllocs()
 
 	res := Result{
 		Spec:       spec,
@@ -141,7 +150,7 @@ func RunCtx(ctx context.Context, spec RunSpec) Result {
 		Value:      value,
 		Check:      check,
 		Rounds:     rounds,
-		AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
+		AllocBytes: alloc1 - alloc0,
 	}
 	if spec.Trace != nil {
 		res.Trace = spec.Trace.Summary()

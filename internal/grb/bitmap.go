@@ -1,6 +1,9 @@
 package grb
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // bitmap is a fixed-size bit set used for dense-vector presence tracking and
 // masks.
@@ -11,6 +14,18 @@ func newBitmap(n int) bitmap { return make(bitmap, (n+63)/64) }
 func (b bitmap) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b bitmap) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// setAtomic sets bit i with an atomic read-modify-write of its word, so
+// parallel blocks may set bits that share a word.
+func (b bitmap) setAtomic(i int) {
+	p, bit := &b[i>>6], uint64(1)<<(uint(i)&63)
+	for {
+		old := atomic.LoadUint64(p)
+		if old&bit != 0 || atomic.CompareAndSwapUint64(p, old, old|bit) {
+			return
+		}
+	}
+}
 
 func (b bitmap) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 

@@ -55,10 +55,11 @@ func bitmapBytes(n int) int64 { return int64(n+7) / 8 }
 //	VxM(frontier<!value(dist)> = frontier ⊗ A, lor_land, replace)
 //
 // into one pass over the frontier: phase A stamps the level at every
-// frontier position, phase B expands frontier rows collecting neighbors the
+// frontier position, phase B expands frontier rows marking the neighbors the
 // (complemented value) mask admits — i.e. positions whose dist value is
-// still zero. No mask bitmap, assign entry list, or alias snapshot is ever
-// built. There is no discovery CAS: the two phases preserve the eager
+// still zero — in a bitmap the next frontier is read out of in index order.
+// No mask bitmap, assign entry list, or alias snapshot is ever built. dist
+// is never claimed by a discovery CAS: the two phases preserve the eager
 // chain's pure window semantics exactly, so the result is the same for any
 // T, semiring aside (the pattern is only matched for lor_land, where
 // duplicate discoveries fold to the same value anyway).
@@ -96,36 +97,31 @@ func FusedAssignExpand[T comparable](ctx *Context, dist *Vector[T], level T, fro
 
 	// Phase B: expand. The ForBlocks barrier above guarantees every stamp
 	// is visible; dist is read-only from here, exactly like the eager VxM
-	// reading a mask built after the assign completed.
-	parts := make([]entryList[bool], galois.NumBlocks(nf, block))
+	// reading a mask built after the assign completed. Each admitted
+	// neighbour sets its bit in a word-atomic bitmap, so duplicate
+	// discoveries collapse as they happen.
+	next := newBitmap(A.ncols)
 	galois.ForBlocks(ctx.Ex, nf, block, func(b, lo, hi int, gctx *galois.Ctx) {
-		out := &parts[b]
 		var work int64
 		for k := lo; k < hi; k++ {
 			cols, _ := A.Row(fIdx[k])
 			work += int64(len(cols))
 			for _, j := range cols {
 				if dist.dense[j] == zero {
-					out.idx = append(out.idx, j)
-					out.vals = append(out.vals, true)
+					next.setAtomic(int(j))
 				}
 			}
 		}
 		gctx.Work(work)
 	})
-	e := stitch(parts)
-	// Canonicalize to the sorted deduplicated set the eager push
-	// accumulator produces.
-	sortEntries(e.idx, e.vals)
-	m := 0
-	for k := range e.idx {
-		if k > 0 && e.idx[k] == e.idx[m-1] {
-			continue
-		}
-		e.idx[m], e.vals[m] = e.idx[k], e.vals[k]
-		m++
+	// Read the next frontier out in index order: the sorted deduplicated
+	// set the eager push accumulator produces.
+	m := next.count()
+	e := entryList[bool]{idx: make([]int32, 0, m), vals: make([]bool, m)}
+	next.forEach(func(i int) { e.idx = append(e.idx, int32(i)) })
+	for k := range e.vals {
+		e.vals[k] = true
 	}
-	e.idx, e.vals = e.idx[:m], e.vals[:m]
 
 	sp.NNZOut = int64(m)
 	sp.Bytes = entryBytes[bool](m)

@@ -135,6 +135,18 @@ func (m *Matrix[T]) Row(i int) ([]int32, []T) {
 // RowDegree returns the number of explicit entries in row i.
 func (m *Matrix[T]) RowDegree(i int) int64 { return m.rowPtr[i+1] - m.rowPtr[i] }
 
+// SizeBytes returns the bytes of the matrix's arrays: the CSR and, once it
+// is built, the CSC mirror. It may run while another goroutine builds the
+// mirror.
+func (m *Matrix[T]) SizeBytes() int64 {
+	entry := 4 + elemBytes[T]()
+	b := int64(len(m.rowPtr))*8 + int64(len(m.colIdx))*entry
+	if m.HasCSC() {
+		b += int64(len(m.colPtr))*8 + int64(len(m.rowIdx))*entry
+	}
+	return b
+}
+
 // HasCSC reports whether the CSC mirror is built.
 func (m *Matrix[T]) HasCSC() bool { return m.hasCSC.Load() }
 

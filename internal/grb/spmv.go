@@ -37,15 +37,20 @@ func VxM[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], s Sem
 	defer sp.End()
 	sp.NNZIn = int64(u.NVals())
 	sp.Workers = int64(ctx.threads())
+	inPlace := usePull && w.rep == Dense
+	var k int
 	var e entryList[T]
-	if usePull {
+	switch {
+	case inPlace:
+		k = spmvPullDense(ctx, w, mask, accum, desc.Replace, s, u, A, true)
+	case usePull:
 		e = spmvPull(ctx, mask, s, u, A, true)
-	} else {
+		k = len(e.idx)
+	default:
 		e = spmvPush(ctx, mask, s, u, A, true)
+		k = len(e.idx)
 	}
-	sp.NNZOut = int64(len(e.idx))
-	sp.Bytes = entryBytes[T](len(e.idx))
-	mergeIntoVector(w, e, accum, desc.Replace)
+	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
 	return nil
 }
 
@@ -80,15 +85,20 @@ func MxV[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], s Sem
 	defer sp.End()
 	sp.NNZIn = int64(u.NVals())
 	sp.Workers = int64(ctx.threads())
+	inPlace := !usePush && w.rep == Dense
+	var k int
 	var e entryList[T]
-	if usePush {
+	switch {
+	case inPlace:
+		k = spmvPullDense(ctx, w, mask, accum, desc.Replace, s, u, A, false)
+	case usePush:
 		e = spmvPush(ctx, mask, s, u, A, false)
-	} else {
+		k = len(e.idx)
+	default:
 		e = spmvPull(ctx, mask, s, u, A, false)
+		k = len(e.idx)
 	}
-	sp.NNZOut = int64(len(e.idx))
-	sp.Bytes = entryBytes[T](len(e.idx))
-	mergeIntoVector(w, e, accum, desc.Replace)
+	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
 	return nil
 }
 
@@ -197,74 +207,87 @@ func spmvPush[T any](ctx *Context, mask *Mask, s Semiring[T], u *Vector[T], A *M
 	return final.take()
 }
 
-// spmvPull is the SDOT kernel. For VxM (alongCols=true) it walks column
-// A(:,j) for each output j via CSC; for MxV it walks row A(i,:) for each
-// output i. u is densified once so probes are O(1).
+// pullDot returns the SDOT kernel's dot product for one output position.
+// For VxM (alongCols=true) it walks column A(:,j) via CSC; for MxV it walks
+// row A(i,:). u is densified once so probes are O(1). Each output
+// position's dot product is self-contained, so results are not just
+// schedule-independent but blocking-independent too (the metamorphic tests
+// exploit this), and either driver below gives the same values.
+func pullDot[T any](s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) func(j int, gctx *galois.Ctx) (T, bool) {
+	if alongCols {
+		A.EnsureCSC()
+	}
+	ud := densified(u)
+	c := perfmodel.Get()
+	return func(j int, gctx *galois.Ctx) (T, bool) {
+		var rows []int32
+		var vals []T
+		if alongCols {
+			rows, vals = A.Col(j)
+		} else {
+			rows, vals = A.Row(j)
+		}
+		gctx.Work(int64(len(rows)))
+		if c != nil {
+			c.Load(A.slot, perfmodel.KRowPtr, j, 8)
+			c.LoadRange(A.slot, perfmodel.KColIdx, 0, len(rows), 4)
+			c.LoadRange(A.slot, perfmodel.KVals, 0, len(vals), 8)
+			c.Instr(2 * len(rows))
+		}
+		acc := s.Add.Identity
+		hit := false
+		for e2, i := range rows {
+			if !ud.present.get(int(i)) {
+				continue
+			}
+			var p T
+			if alongCols {
+				p = s.Mul(ud.dense[i], vals[e2])
+			} else {
+				p = s.Mul(vals[e2], ud.dense[i])
+			}
+			if c != nil {
+				c.Load(ud.slot, perfmodel.KVecVals, int(i), 8)
+			}
+			if !hit {
+				acc, hit = p, true
+			} else {
+				acc = s.Add.Op(acc, p)
+			}
+			if s.Add.Terminal != nil && any(acc) == any(*s.Add.Terminal) {
+				break
+			}
+		}
+		return acc, hit
+	}
+}
+
+// spmvPull is the SDOT kernel producing an entry list: per-block output
+// lists stitched in block order. The fused kernels and non-Dense outputs
+// use it.
 func spmvPull[T any](ctx *Context, mask *Mask, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) entryList[T] {
 	n := A.ncols
 	if !alongCols {
 		n = A.nrows
-	} else {
-		A.EnsureCSC()
 	}
-	ud := u
-	if ud.rep != Dense {
-		ud = u.Dup()
-		ud.Convert(Dense)
-	}
-	c := perfmodel.Get()
-	// Each output position's dot product is self-contained, so per-block
-	// output lists stitched in block order are not just schedule-independent
-	// but blocking-independent too (the metamorphic tests exploit this).
+	dot := pullDot(s, u, A, alongCols)
 	return blockedEntries(ctx, n, func(lo, hi int, gctx *galois.Ctx, part *entryList[T]) {
-		var work int64
 		for j := lo; j < hi; j++ {
 			if !mask.allows(j) {
 				continue
 			}
-			var rows []int32
-			var vals []T
-			if alongCols {
-				rows, vals = A.Col(j)
-			} else {
-				rows, vals = A.Row(j)
-			}
-			work += int64(len(rows))
-			if c != nil {
-				c.Load(A.slot, perfmodel.KRowPtr, j, 8)
-				c.LoadRange(A.slot, perfmodel.KColIdx, 0, len(rows), 4)
-				c.LoadRange(A.slot, perfmodel.KVals, 0, len(vals), 8)
-				c.Instr(2 * len(rows))
-			}
-			acc := s.Add.Identity
-			hit := false
-			for e2, i := range rows {
-				if !ud.present.get(int(i)) {
-					continue
-				}
-				var p T
-				if alongCols {
-					p = s.Mul(ud.dense[i], vals[e2])
-				} else {
-					p = s.Mul(vals[e2], ud.dense[i])
-				}
-				if c != nil {
-					c.Load(ud.slot, perfmodel.KVecVals, int(i), 8)
-				}
-				if !hit {
-					acc, hit = p, true
-				} else {
-					acc = s.Add.Op(acc, p)
-				}
-				if s.Add.Terminal != nil && any(acc) == any(*s.Add.Terminal) {
-					break
-				}
-			}
-			if hit {
+			if acc, hit := dot(j, gctx); hit {
 				part.idx = append(part.idx, int32(j))
 				part.vals = append(part.vals, acc)
 			}
 		}
-		gctx.Work(work)
 	})
+}
+
+// spmvPullDense is the SDOT kernel writing a Dense w in place, returning
+// how many positions it computed.
+func spmvPullDense[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], replace bool, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) int {
+	dot := pullDot(s, u, A, alongCols)
+	return writeDense(ctx, w, mask, accum, replace, nil, nil, false,
+		func(j int, _, _ T, _, _ bool, gctx *galois.Ctx) (T, bool) { return dot(j, gctx) })
 }

@@ -124,33 +124,41 @@ func AssignConstant[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryO
 		sp.Bytes = int64(w.n)*elemBytes[T]() + int64(w.n+7)/8
 		return nil
 	}
-	// General path computes the assigned positions as an entry list, in
-	// parallel over fixed blocks of the index space.
-	e := blockedEntries(ctx, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
-		if mask != nil && !mask.Complement {
-			mask.pattern.forEachIn(lo, hi, func(i int) {
-				out.idx = append(out.idx, int32(i))
-				out.vals = append(out.vals, value)
-			})
-			return
-		}
-		for i := lo; i < hi; i++ {
-			if mask.allows(i) {
-				out.idx = append(out.idx, int32(i))
-				out.vals = append(out.vals, value)
+	// A Dense w is written in place; otherwise the assigned positions are
+	// computed as an entry list, in parallel over fixed blocks of the index
+	// space.
+	inPlace := w.rep == Dense
+	var k int
+	var e entryList[T]
+	if inPlace {
+		k = writeDense(ctx, w, mask, accum, desc.Replace, nil, nil, false,
+			func(int, T, T, bool, bool, *galois.Ctx) (T, bool) { return value, true })
+	} else {
+		e = blockedEntries(ctx, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+			if mask != nil && !mask.Complement {
+				mask.pattern.forEachIn(lo, hi, func(i int) {
+					out.idx = append(out.idx, int32(i))
+					out.vals = append(out.vals, value)
+				})
+				return
 			}
-		}
-	})
+			for i := lo; i < hi; i++ {
+				if mask.allows(i) {
+					out.idx = append(out.idx, int32(i))
+					out.vals = append(out.vals, value)
+				}
+			}
+		})
+		k = len(e.idx)
+	}
 	if c != nil {
 		if mask != nil && !mask.Complement {
-			c.LoadRange(0, perfmodel.KAux, 0, len(e.idx), 8)
+			c.LoadRange(0, perfmodel.KAux, 0, k, 8)
 		} else {
 			c.LoadRange(0, perfmodel.KAux, 0, w.n, 8)
 		}
 	}
-	sp.NNZOut = int64(len(e.idx))
-	sp.Bytes = entryBytes[T](len(e.idx))
-	mergeIntoVector(w, e, accum, desc.Replace)
+	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
 	return nil
 }
 
@@ -162,28 +170,47 @@ func Apply[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], op 
 	if mask != nil && mask.n != w.n {
 		return errDim("Apply mask", mask.n, w.n)
 	}
-	u = unalias(w, u)
 	sp := trace.Begin(trace.CatKernel, "grb.Apply")
 	defer sp.End()
-	sp.NNZIn = int64(u.NVals())
+	nu := u.NVals()
+	sp.NNZIn = int64(nu)
 	sp.Workers = int64(ctx.threads())
-	uIdx, uVals := u.Entries()
-	e := blockedEntries(ctx, len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
-		for k := lo; k < hi; k++ {
-			if i := uIdx[k]; mask.allows(i) {
-				out.idx = append(out.idx, int32(i))
-				out.vals = append(out.vals, op(uVals[k]))
+	inPlace := w.rep == Dense
+	var k int
+	var e entryList[T]
+	if inPlace {
+		k = writeDense(ctx, w, mask, accum, desc.Replace, u, nil, false,
+			func(_ int, x, _ T, _, _ bool, _ *galois.Ctx) (T, bool) { return op(x), true })
+	} else {
+		u = unalias(w, u)
+		uIdx, uVals := u.Entries()
+		e = blockedEntries(ctx, len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+			for k := lo; k < hi; k++ {
+				if i := uIdx[k]; mask.allows(i) {
+					out.idx = append(out.idx, int32(i))
+					out.vals = append(out.vals, op(uVals[k]))
+				}
 			}
-		}
-	})
-	if c := perfmodel.Get(); c != nil {
-		c.LoadRange(u.slot, perfmodel.KVecVals, 0, u.NVals(), 8)
-		c.Instr(u.NVals())
+		})
+		k = len(e.idx)
 	}
-	sp.NNZOut = int64(len(e.idx))
-	sp.Bytes = entryBytes[T](len(e.idx))
-	mergeIntoVector(w, e, accum, desc.Replace)
+	if c := perfmodel.Get(); c != nil {
+		c.LoadRange(u.slot, perfmodel.KVecVals, 0, nu, 8)
+		c.Instr(nu)
+	}
+	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
 	return nil
+}
+
+// densified returns u itself when it is Dense, else a Dense copy of it; the
+// densification is charged to a grb.Convert span.
+func densified[T any](u *Vector[T]) *Vector[T] {
+	if u.rep == Dense {
+		return u
+	}
+	d := u.Dup()
+	d.Convert(Dense)
+	return d
 }
 
 // EWiseAdd implements GrB_eWiseAdd: the pattern union of u and v; positions
@@ -196,38 +223,43 @@ func EWiseAdd[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], 
 	defer sp.End()
 	sp.NNZIn = int64(u.NVals() + v.NVals())
 	sp.Workers = int64(ctx.threads())
-	// The densified copies below are attributed to grb.Convert spans; Dup
-	// also snapshots any operand that aliases w.
-	ud, vd := u.Dup(), v.Dup()
-	ud.Convert(Dense)
-	vd.Convert(Dense)
-	e := blockedEntries(ctx, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
-		for i := lo; i < hi; i++ {
-			up, vp := ud.present.get(i), vd.present.get(i)
-			if !up && !vp || !mask.allows(i) {
-				continue
-			}
-			var val T
-			switch {
-			case up && vp:
-				val = op(ud.dense[i], vd.dense[i])
-			case up:
-				val = ud.dense[i]
-			default:
-				val = vd.dense[i]
-			}
-			out.idx = append(out.idx, int32(i))
-			out.vals = append(out.vals, val)
+	// Both operands are read densified; a Dense operand is read in place,
+	// and only a sparse one is copied (charged to a grb.Convert span).
+	ud, vd := densified(u), densified(v)
+	union := func(_ int, x, y T, hx, hy bool, _ *galois.Ctx) (T, bool) {
+		switch {
+		case hx && hy:
+			return op(x, y), true
+		case hx:
+			return x, true
 		}
-	})
+		return y, true
+	}
+	inPlace := w.rep == Dense
+	var k int
+	var e entryList[T]
+	if inPlace {
+		k = writeDense(ctx, w, mask, accum, desc.Replace, ud, vd, true, union)
+	} else {
+		e = blockedEntries(ctx, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+			for i := lo; i < hi; i++ {
+				up, vp := ud.present.get(i), vd.present.get(i)
+				if !up && !vp || !mask.allows(i) {
+					continue
+				}
+				val, _ := union(i, ud.dense[i], vd.dense[i], up, vp, gctx)
+				out.idx = append(out.idx, int32(i))
+				out.vals = append(out.vals, val)
+			}
+		})
+		k = len(e.idx)
+	}
 	if c := perfmodel.Get(); c != nil {
 		c.LoadRange(u.slot, perfmodel.KVecVals, 0, w.n, 8)
 		c.LoadRange(v.slot, perfmodel.KVecVals, 0, w.n, 8)
 		c.Instr(w.n)
 	}
-	sp.NNZOut = int64(len(e.idx))
-	sp.Bytes = entryBytes[T](len(e.idx))
-	mergeIntoVector(w, e, accum, desc.Replace)
+	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
 	return nil
 }
 
@@ -236,44 +268,53 @@ func EWiseMult[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T],
 	if u.n != w.n || v.n != w.n {
 		return errDim("EWiseMult", u.n, w.n)
 	}
-	u = unalias(w, u)
-	v = unalias(w, v)
 	sp := trace.Begin(trace.CatKernel, "grb.EWiseMult")
 	defer sp.End()
 	sp.NNZIn = int64(u.NVals() + v.NVals())
 	sp.Workers = int64(ctx.threads())
-	// Iterate the sparser operand, probing the other.
+	inPlace := w.rep == Dense
+	if !inPlace {
+		u, v = unalias(w, u), unalias(w, v)
+	}
+	// The entry-list path iterates the sparser operand, probing the other.
 	a, b := u, v
 	if b.NVals() < a.NVals() {
 		a, b = b, a
 	}
-	swapped := a != u
-	aIdx, aVals := a.Entries()
-	e := blockedEntries(ctx, len(aIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
-		for k := lo; k < hi; k++ {
-			i := aIdx[k]
-			bv, ok := b.ExtractElement(i)
-			if !ok || !mask.allows(i) {
-				continue
+	na := a.NVals()
+	var k int
+	var e entryList[T]
+	if inPlace {
+		k = writeDense(ctx, w, mask, accum, desc.Replace, u, v, false,
+			func(_ int, x, y T, _, _ bool, _ *galois.Ctx) (T, bool) { return op(x, y), true })
+	} else {
+		swapped := a != u
+		aIdx, aVals := a.Entries()
+		e = blockedEntries(ctx, len(aIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+			for k := lo; k < hi; k++ {
+				i := aIdx[k]
+				bv, ok := b.ExtractElement(i)
+				if !ok || !mask.allows(i) {
+					continue
+				}
+				var val T
+				if swapped {
+					val = op(bv, aVals[k])
+				} else {
+					val = op(aVals[k], bv)
+				}
+				out.idx = append(out.idx, int32(i))
+				out.vals = append(out.vals, val)
 			}
-			var val T
-			if swapped {
-				val = op(bv, aVals[k])
-			} else {
-				val = op(aVals[k], bv)
-			}
-			out.idx = append(out.idx, int32(i))
-			out.vals = append(out.vals, val)
-		}
-	})
-	if c := perfmodel.Get(); c != nil {
-		c.LoadRange(a.slot, perfmodel.KVecVals, 0, a.NVals(), 8)
-		c.LoadRange(b.slot, perfmodel.KVecVals, 0, a.NVals(), 8)
-		c.Instr(a.NVals())
+		})
+		k = len(e.idx)
 	}
-	sp.NNZOut = int64(len(e.idx))
-	sp.Bytes = entryBytes[T](len(e.idx))
-	mergeIntoVector(w, e, accum, desc.Replace)
+	if c := perfmodel.Get(); c != nil {
+		c.LoadRange(a.slot, perfmodel.KVecVals, 0, na, 8)
+		c.LoadRange(b.slot, perfmodel.KVecVals, 0, na, 8)
+		c.Instr(na)
+	}
+	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
 	return nil
 }
 
@@ -283,33 +324,38 @@ func SelectVector[T any](ctx *Context, w *Vector[T], mask *Mask, pred IndexedPre
 	if u.n != w.n {
 		return errDim("SelectVector", u.n, w.n)
 	}
-	u = unalias(w, u)
 	sp := trace.Begin(trace.CatKernel, "grb.Select")
 	defer sp.End()
-	sp.NNZIn = int64(u.NVals())
+	nu := u.NVals()
+	sp.NNZIn = int64(nu)
 	sp.Workers = int64(ctx.threads())
-	uIdx, uVals := u.Entries()
-	e := blockedEntries(ctx, len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
-		for k := lo; k < hi; k++ {
-			i := uIdx[k]
-			if pred(uVals[k], i, 0) && mask.allows(i) {
-				out.idx = append(out.idx, int32(i))
-				out.vals = append(out.vals, uVals[k])
+	inPlace := w.rep == Dense
+	var k int
+	var e entryList[T]
+	if inPlace {
+		k = writeDense(ctx, w, mask, nil, desc.Replace, u, nil, false,
+			func(i int, x, _ T, _, _ bool, _ *galois.Ctx) (T, bool) { return x, pred(x, i, 0) })
+	} else {
+		u = unalias(w, u)
+		uIdx, uVals := u.Entries()
+		e = blockedEntries(ctx, len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+			for k := lo; k < hi; k++ {
+				i := uIdx[k]
+				if pred(uVals[k], i, 0) && mask.allows(i) {
+					out.idx = append(out.idx, int32(i))
+					out.vals = append(out.vals, uVals[k])
+				}
 			}
-		}
-	})
-	if c := perfmodel.Get(); c != nil {
-		c.LoadRange(u.slot, perfmodel.KVecVals, 0, u.NVals(), 8)
-		c.Instr(u.NVals())
+		})
+		k = len(e.idx)
 	}
-	sp.NNZOut = int64(len(e.idx))
-	sp.Bytes = entryBytes[T](len(e.idx))
-	mergeIntoVector(w, e, accum0[T](), desc.Replace)
+	if c := perfmodel.Get(); c != nil {
+		c.LoadRange(u.slot, perfmodel.KVecVals, 0, nu, 8)
+		c.Instr(nu)
+	}
+	commit(&sp, w, inPlace, k, e, nil, desc.Replace)
 	return nil
 }
-
-// accum0 returns a nil accumulator with the right type.
-func accum0[T any]() BinaryOp[T] { return nil }
 
 // ReduceVector folds all explicit entries of u under the monoid
 // (GrB_reduce to scalar). Each fixed block of the index space folds to a

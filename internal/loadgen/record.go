@@ -34,9 +34,10 @@ func (rec *Recorder) Count() int64 {
 }
 
 // record appends one entry. Offsets are relative to the first recorded
-// arrival so a replayed session starts immediately.
+// arrival so a replayed session starts immediately. The arrival time is
+// read under the lock, so entries are written in non-decreasing offset
+// order, the order ReadSession requires, even when requests race.
 func (rec *Recorder) record(method, path string, body []byte) {
-	now := time.Now()
 	compact := &bytes.Buffer{}
 	if err := json.Compact(compact, body); err != nil {
 		// Not JSON; record verbatim as a JSON string so the line stays
@@ -46,6 +47,7 @@ func (rec *Recorder) record(method, path string, body []byte) {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
+	now := time.Now()
 	if rec.n == 0 {
 		rec.epoch = now
 	}

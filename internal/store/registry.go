@@ -20,7 +20,9 @@ type RegistryConfig struct {
 	// Store persists datasets between processes; nil keeps everything
 	// in-memory (suite graphs regenerate on every cold acquire).
 	Store *Store
-	// Budget bounds the bytes of resident graphs; <= 0 means unlimited.
+	// Budget bounds the bytes of resident graphs and of the core.Prepare
+	// forms built for them (charged when a lease is released); <= 0 means
+	// unlimited.
 	// When an acquire pushes residency past the budget, idle graphs are
 	// evicted in LRU order — along with their gen build memos and
 	// core.Prepare matrix forms, so eviction actually frees memory.
@@ -85,13 +87,19 @@ type Handle struct {
 // Graph returns the leased graph (read-only, shared).
 func (h *Handle) Graph() *graph.Graph { return h.g }
 
-// Release returns the lease. After the last release an over-budget registry
-// may evict the graph.
+// Release returns the lease. The entry is re-charged as its graph plus the
+// core.Prepared forms runs have built for it so far, and an over-budget
+// registry may then evict idle graphs, this one included after its last
+// release.
 func (h *Handle) Release() {
 	h.once.Do(func() {
+		forms := core.PreparedBytes(h.e.name, h.e.sc)
 		h.r.mu.Lock()
 		h.e.refs--
 		h.e.lastUsed = h.r.tickLocked()
+		b := int64(h.e.g.SizeBytes()) + forms
+		h.r.bytes += b - h.e.bytes
+		h.e.bytes = b
 		h.r.evictLocked()
 		h.r.mu.Unlock()
 	})

@@ -8,6 +8,7 @@ import (
 	"graphstudy/internal/core"
 	"graphstudy/internal/gen"
 	"graphstudy/internal/graph"
+	"graphstudy/internal/grb"
 )
 
 // cleanSuiteCaches drops the package-global gen/core cache entries the
@@ -258,6 +259,137 @@ func TestRegistryConcurrentAcquireReleaseEvict(t *testing.T) {
 	wg.Wait()
 	// All handles released: the budget must hold now.
 	if s := reg.Stats(); s.ResidentBytes > 4096 && s.ResidentGraphs > 0 {
+		t.Fatalf("idle registry over budget: %+v", s)
+	}
+}
+
+// TestRegistryBudgetChargesPreparedForms: a released lease re-charges its
+// entry as the graph plus the prepared forms runs built for it. The budget
+// fits every snapshot's CSR but not the CSRs plus one snapshot's AFloat
+// (with its CSC mirror), so building that form and releasing must evict
+// the least recently used snapshot and bring residency back under budget.
+func TestRegistryBudgetChargesPreparedForms(t *testing.T) {
+	st := openTestStore(t)
+	putDeltaBase(t, st, "bud")
+	s1, s2 := SnapshotName("bud", 1), SnapshotName("bud", 2)
+	names := []string{"bud", s1, s2}
+	snapCleanup(names...)
+	defer snapCleanup(names...)
+	if _, err := st.AppendDelta("bud", []DeltaOp{{Src: 1, Dst: 4, W: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendDelta("bud", []DeltaOp{{Src: 5, Dst: 1, W: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	csr := func(epoch uint64) int64 {
+		g, err := st.Snapshot("bud", epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.SortAdjacency()
+		g.BuildIn()
+		return int64(g.SizeBytes())
+	}
+	g2, err := st.Snapshot("bud", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2.SortAdjacency()
+	aFloat := grb.FloatMatrixFromGraph(g2)
+	aFloat.EnsureCSC()
+	base, c1, c2, f2 := csr(0), csr(1), csr(2), aFloat.SizeBytes()
+	reg := NewRegistry(RegistryConfig{Store: st, Budget: base + c1 + c2 + f2 - 1})
+
+	for _, name := range []string{s1, s2} {
+		h, err := reg.Acquire(name, gen.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	if s := reg.Stats(); s.ResidentGraphs != 3 || s.ResidentBytes != base+c1+c2 || s.Evictions != 0 {
+		t.Fatalf("CSRs alone should all fit: %+v (base %d, csr %d+%d)", s, base, c1, c2)
+	}
+
+	h, err := reg.Acquire(s2, gen.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := reg.Input(s2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := core.Prepare(in, gen.ScaleTest).AFloat().SizeBytes(); got != f2 {
+		t.Fatalf("AFloat of the leased snapshot is %d bytes, want %d", got, f2)
+	}
+	h.Release()
+
+	s := reg.Stats()
+	if s.ResidentBytes > reg.Budget() {
+		t.Fatalf("resident bytes %d over budget %d", s.ResidentBytes, reg.Budget())
+	}
+	if s.Evictions != 1 || s.ResidentBytes != base+c2+f2 {
+		t.Fatalf("want the older snapshot evicted and %d bytes resident: %+v", base+c2+f2, s)
+	}
+	resident := map[string]bool{}
+	for _, d := range reg.Datasets() {
+		resident[d.Name] = d.Resident
+	}
+	if resident[s1] || !resident[s2] {
+		t.Fatalf("LRU order violated; resident: %v", resident)
+	}
+}
+
+// TestRegistryConcurrentFormBuildsAndReleases builds prepared forms from
+// many goroutines while others release leases (which read the forms' sizes)
+// under a budget that forces eviction; run under -race this checks the
+// form accounting is race-free.
+func TestRegistryConcurrentFormBuildsAndReleases(t *testing.T) {
+	st := openTestStore(t)
+	names := make([]string, 4)
+	for i := range names {
+		names[i] = fmt.Sprintf("forms%d", i)
+		if _, err := st.Put(names[i], graph.FromWeightedEdges(96, ringEdges(96)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer cleanSuiteCaches(names...)
+
+	reg := NewRegistry(RegistryConfig{Store: st, Budget: 8192})
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(seed int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				name := names[(seed+i)%len(names)]
+				h, err := reg.Acquire(name, gen.ScaleTest)
+				if err != nil {
+					t.Errorf("Acquire(%s): %v", name, err)
+					return
+				}
+				in, err := reg.Input(name)
+				if err != nil {
+					t.Errorf("Input(%s): %v", name, err)
+					h.Release()
+					return
+				}
+				p := core.Prepare(in, gen.ScaleTest)
+				switch (seed + i) % 3 {
+				case 0:
+					p.AFloat()
+				case 1:
+					p.ABool()
+				default:
+					p.ASymU32()
+				}
+				h.Release()
+				reg.Stats()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s := reg.Stats(); s.ResidentBytes > reg.Budget() {
 		t.Fatalf("idle registry over budget: %+v", s)
 	}
 }

@@ -32,13 +32,14 @@ race:
 
 # Focused gate for the parallel kernel backend: the equivalence, metamorphic,
 # alias, and digest-stability suites under the race detector at a fixed
-# worker count, plus a does-it-run pass over the SpMV scaling benchmark.
+# worker count, plus a does-it-run pass over the SpMV scaling benchmark and
+# the typed-vs-generic semiring kernel benchmark.
 # The adapt suite sweeps no worker counts, so it registers no -grb.workers
 # flag and runs without it.
 test-parallel:
 	$(GO) test ./internal/grb ./internal/verify ./internal/fuse -race -grb.workers=4
 	$(GO) test ./internal/adapt -race
-	$(GO) test ./internal/grb -run '^$$' -bench SpMV -benchtime 1x
+	$(GO) test ./internal/grb -run '^$$' -bench 'SpMV|SemiringKernels' -benchtime 1x
 
 # Repeats the suites that assert run-to-run identity (bench cell digests,
 # rounds and bytes; digest stability across executors and worker counts)
@@ -48,8 +49,10 @@ test-determinism:
 	$(GO) test ./internal/bench ./internal/verify -run 'Deterministic|DigestStability' -count=20
 
 # Short fuzzing pass over every untrusted-input decoder, plus the snapshot
-# merge checked against a full rebuild and the in-place Dense kernels
-# checked against the entry-list path. Go allows one fuzz target per
+# merge checked against a full rebuild, the in-place Dense kernels checked
+# against the entry-list path, the typed semiring loops checked against the
+# generic loop, and the merge-built symmetric closure checked against the
+# Builder path. Go allows one fuzz target per
 # invocation, so each runs separately; 30s apiece keeps this CI-sized while
 # still exercising the mutator beyond the seed corpus.
 FUZZTIME ?= 30s
@@ -66,6 +69,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptEquivalence$$' -fuzztime $(FUZZTIME) ./internal/adapt/
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalEquivalence$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
+	$(GO) test -run '^$$' -fuzz '^FuzzSemiringKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
+	$(GO) test -run '^$$' -fuzz '^FuzzSymmetrize$$' -fuzztime $(FUZZTIME) ./internal/graph/
 
 # The vet gate is pinned to an explicit analyzer list so a toolchain
 # change can never silently drop a check this repo relies on (copylocks

@@ -68,12 +68,12 @@ func (l *lazy[T]) get(p *Prepared, f form, build func() T) T {
 }
 
 // Sym is the undirected closure of G, sorted, with in-edges (cc, tc and
-// ktruss on LS, and the symmetric matrix forms).
+// ktruss on LS, and the symmetric matrix forms). Its in-edges share the
+// out-edge arrays: the CSC of a sorted symmetric graph is its CSR.
 func (p *Prepared) Sym() *graph.Graph {
 	return p.sym.get(p, fSym, func() *graph.Graph {
 		sym := p.G.Symmetrize()
-		sym.SortAdjacency()
-		sym.BuildIn()
+		sym.AliasIn()
 		return sym
 	})
 }

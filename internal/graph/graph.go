@@ -75,11 +75,25 @@ func (g *Graph) InWeights(u NodeID) []uint32 { return g.InWt[g.InRowPtr[u]:g.InR
 // SizeBytes returns the memory footprint of the CSR representation
 // (including weights and, if built, the CSC representation). This is the
 // quantity reported in Table I of the study.
+//
+// An in-edge array that shares storage with its out-edge counterpart (see
+// AliasIn) is counted once.
 func (g *Graph) SizeBytes() uint64 {
 	b := uint64(len(g.RowPtr))*8 + uint64(len(g.ColIdx))*4 + uint64(len(g.Wt))*4
-	b += uint64(len(g.InRowPtr))*8 + uint64(len(g.InColIdx))*4 + uint64(len(g.InWt))*4
+	if !sameArray(g.InRowPtr, g.RowPtr) {
+		b += uint64(len(g.InRowPtr)) * 8
+	}
+	if !sameArray(g.InColIdx, g.ColIdx) {
+		b += uint64(len(g.InColIdx)) * 4
+	}
+	if !sameArray(g.InWt, g.Wt) {
+		b += uint64(len(g.InWt)) * 4
+	}
 	return b
 }
+
+// sameArray reports whether two non-empty slices start at the same element.
+func sameArray[T any](a, b []T) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 
 // Validate checks the CSR invariants and returns a descriptive error if any
 // is violated. It is used by tests and by the graph loader.
@@ -256,7 +270,123 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // Symmetrize returns the undirected closure of g: for every edge (u,v) the
 // result contains both (u,v) and (v,u), with duplicates removed and
 // self-loops dropped. Weights are carried over (minimum wins on duplicates).
+// Adjacency lists of the result are sorted.
+//
+// When g has in-edges and every out- and in-edge list is sorted (prepared
+// inputs and registry snapshots qualify), the closure of u is a two-way
+// merge of OutEdges(u) and InEdges(u), built in two passes into exactly
+// sized arrays. Otherwise it goes through a Builder, with a sort per row.
+// Both give the same arrays.
 func (g *Graph) Symmetrize() *Graph {
+	if !g.mergeable() {
+		return g.symmetrizeBuild()
+	}
+	n := g.NumNodes
+	rowPtr := make([]uint64, n+1)
+	for u := uint32(0); u < n; u++ {
+		rowPtr[u+1] = rowPtr[u] + uint64(g.symRow(u, nil, nil))
+	}
+	m := rowPtr[n]
+	out := &Graph{NumNodes: n, RowPtr: rowPtr, ColIdx: make([]uint32, m)}
+	if g.Wt != nil {
+		out.Wt = make([]uint32, m)
+	}
+	for u := uint32(0); u < n; u++ {
+		lo, hi := rowPtr[u], rowPtr[u+1]
+		var wt []uint32
+		if out.Wt != nil {
+			wt = out.Wt[lo:hi]
+		}
+		g.symRow(u, out.ColIdx[lo:hi], wt)
+	}
+	return out
+}
+
+// mergeable reports whether Symmetrize may merge each node's sorted out-
+// and in-edge lists: in-edges are built, carry weights exactly when the
+// out-edges do, and every list is sorted.
+func (g *Graph) mergeable() bool {
+	if !g.HasIn() || (g.Wt == nil) != (g.InWt == nil) {
+		return false
+	}
+	for u := uint32(0); u < g.NumNodes; u++ {
+		if !isSorted(g.OutEdges(u)) || !isSorted(g.InEdges(u)) {
+			return false
+		}
+	}
+	return true
+}
+
+// symRow merges u's sorted out- and in-edge lists into u's closure row,
+// dropping u itself and keeping the minimum weight of each neighbor, and
+// returns its length. With col nil it only counts; otherwise it fills col
+// and, when non-nil, wt.
+func (g *Graph) symRow(u uint32, col, wt []uint32) int {
+	const none = math.MaxUint32 // above every node ID
+	outs, ins := g.OutEdges(u), g.InEdges(u)
+	var outW, inW []uint32
+	if wt != nil {
+		outW, inW = g.OutWeights(u), g.InWeights(u)
+	}
+	k, a, b := 0, 0, 0
+	last := uint32(none)
+	for a < len(outs) || b < len(ins) {
+		x, y := uint32(none), uint32(none)
+		wa, wb := uint32(none), uint32(none)
+		if a < len(outs) {
+			x = outs[a]
+			if wt != nil {
+				wa = outW[a]
+			}
+		}
+		if b < len(ins) {
+			y = ins[b]
+			if wt != nil {
+				wb = inW[b]
+			}
+		}
+		v := min(x, y)
+		// Which list holds v is unpredictable, so both advance, and the
+		// weight is picked, by conditional moves rather than branches.
+		da, db := 0, 0
+		if x == v {
+			da = 1
+		}
+		if y == v {
+			db = 1
+		}
+		if x != v {
+			wa = none
+		}
+		if y != v {
+			wb = none
+		}
+		w := min(wa, wb)
+		a += da
+		b += db
+		switch {
+		case v == u:
+		case v == last: // a parallel edge
+			if wt != nil {
+				wt[k-1] = min(wt[k-1], w)
+			}
+		default:
+			if col != nil {
+				col[k] = v
+				if wt != nil {
+					wt[k] = w
+				}
+			}
+			k++
+			last = v
+		}
+	}
+	return k
+}
+
+// symmetrizeBuild is Symmetrize through a Builder: every non-loop edge is
+// added in both directions, then rows are sorted and deduplicated.
+func (g *Graph) symmetrizeBuild() *Graph {
 	b := NewBuilder(g.NumNodes, g.Wt != nil)
 	b.Reserve(2 * int(g.NumEdges()))
 	for u := uint32(0); u < g.NumNodes; u++ {
@@ -275,6 +405,14 @@ func (g *Graph) Symmetrize() *Graph {
 		}
 	}
 	return b.BuildDedup(MinWeight)
+}
+
+// AliasIn makes g's in-edge storage its out-edge storage. It is valid only
+// for a symmetric graph with sorted adjacency, whose CSC equals its CSR
+// array for array (a Symmetrize result is one), and saves BuildIn's copy.
+// SizeBytes counts the shared arrays once.
+func (g *Graph) AliasIn() {
+	g.InRowPtr, g.InColIdx, g.InWt = g.RowPtr, g.ColIdx, g.Wt
 }
 
 // DegreeOrder returns a permutation perm such that perm[old] = new, ordering

@@ -285,9 +285,15 @@ func saxpyMxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]
 // dotMxM is SDOT SpGEMM: C(i,j) = A(i,:) · B(:,j) computed only for the
 // mask's entries, using B's CSC mirror. Rows and columns are sorted, so each
 // dot product is a sorted-merge intersection. No intermediate storage is
-// allocated beyond the output (study section III-A).
+// allocated beyond the output (study section III-A). Each entry's dot
+// product is a dotFunc: the semiring's typed loop (typed.go) or the
+// generic one.
 func dotMxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) *Matrix[T] {
 	B.EnsureCSC()
+	dot := typedDot[T](s.kind)
+	if dot == nil {
+		dot = genericDot(s)
+	}
 	rows := make([]rowResult[T], A.nrows)
 	c := perfmodel.Get()
 	ctx.Ex.ForRange(A.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
@@ -306,26 +312,7 @@ func dotMxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) 
 			for e := mlo; e < mhi; e++ {
 				j := mask.colIdx[e]
 				bRows, bVals := B.Col(int(j))
-				acc := s.Add.Identity
-				hit := false
-				x, y := 0, 0
-				for x < len(aCols) && y < len(bRows) {
-					switch {
-					case aCols[x] < bRows[y]:
-						x++
-					case aCols[x] > bRows[y]:
-						y++
-					default:
-						p := s.Mul(aVals[x], bVals[y])
-						if !hit {
-							acc, hit = p, true
-						} else {
-							acc = s.Add.Op(acc, p)
-						}
-						x++
-						y++
-					}
-				}
+				acc, hit, x, y := dot(aCols, aVals, bRows, bVals)
 				work += int64(x + y)
 				if c != nil {
 					// The dot product has no value-based bound, so it walks

@@ -212,13 +212,17 @@ func spmvPush[T any](ctx *Context, mask *Mask, s Semiring[T], u *Vector[T], A *M
 // row A(i,:). u is densified once so probes are O(1). Each output
 // position's dot product is self-contained, so results are not just
 // schedule-independent but blocking-independent too (the metamorphic tests
-// exploit this), and either driver below gives the same values.
+// exploit this), and either driver below gives the same values. Semirings
+// with a typed loop (typed.go) get it instead of the generic one.
 func pullDot[T any](s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) func(j int, gctx *galois.Ctx) (T, bool) {
 	if alongCols {
 		A.EnsureCSC()
 	}
 	ud := densified(u)
 	c := perfmodel.Get()
+	if dot := typedPullDot(s.kind, ud, A, alongCols, c); dot != nil {
+		return dot
+	}
 	return func(j int, gctx *galois.Ctx) (T, bool) {
 		var rows []int32
 		var vals []T
@@ -229,10 +233,7 @@ func pullDot[T any](s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) f
 		}
 		gctx.Work(int64(len(rows)))
 		if c != nil {
-			c.Load(A.slot, perfmodel.KRowPtr, j, 8)
-			c.LoadRange(A.slot, perfmodel.KColIdx, 0, len(rows), 4)
-			c.LoadRange(A.slot, perfmodel.KVals, 0, len(vals), 8)
-			c.Instr(2 * len(rows))
+			pullCost(c, A.slot, j, len(rows))
 		}
 		acc := s.Add.Identity
 		hit := false

@@ -41,10 +41,16 @@ func (m Monoid[T]) Reduce(acc, v T) T { return m.Op(acc, v) }
 
 // Semiring pairs an additive monoid with a multiply operator, the
 // generalization GraphBLAS uses in all its products.
+//
+// kind records which constructor built the semiring, so the product kernels
+// can run a typed inner loop for it (typed.go). A literal Semiring — even
+// one named like a constructor's — has the zero kind and always runs the
+// generic loop over Add.Op and Mul.
 type Semiring[T any] struct {
 	Name string
 	Add  Monoid[T]
 	Mul  BinaryOp[T]
+	kind semiringKind
 }
 
 // PlusMonoid returns the (+, 0) monoid.
@@ -130,6 +136,7 @@ func MinValue[T Number]() T {
 func PlusTimes[T Number]() Semiring[T] {
 	return Semiring[T]{
 		Name: "plus_times",
+		kind: kindPlusTimes,
 		Add:  PlusMonoid[T](),
 		Mul:  func(a, b T) T { return a * b },
 	}
@@ -160,6 +167,7 @@ func MinPlus[T Number]() Semiring[T] {
 func MinSecond[T Number]() Semiring[T] {
 	return Semiring[T]{
 		Name: "min_second",
+		kind: kindMinSecond,
 		Add:  MinMonoid[T](),
 		Mul:  func(a, b T) T { return b },
 	}
@@ -179,6 +187,7 @@ func MinFirst[T Number]() Semiring[T] {
 func PlusPair[T Number]() Semiring[T] {
 	return Semiring[T]{
 		Name: "plus_pair",
+		kind: kindPlusPair,
 		Add:  PlusMonoid[T](),
 		Mul:  func(a, b T) T { return 1 },
 	}

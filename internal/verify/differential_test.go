@@ -13,6 +13,7 @@ package verify_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"graphstudy/internal/core"
@@ -315,5 +316,26 @@ func TestPageRankVariantsMatchReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSymInEdgesAliasOut: on every graph of the family, the prepared
+// symmetric closure's in-edges (which share its out-edge arrays) equal a
+// fresh BuildIn, and PreparedBytes charges the shared arrays once.
+func TestSymInEdgesAliasOut(t *testing.T) {
+	for _, c := range diffCases() {
+		in := gen.NewExternal("diff-sym-"+c.name, true, func(gen.Scale) *graph.Graph { return c.g })
+		sym := core.Prepare(in, gen.ScaleTest).Sym()
+		fresh := &graph.Graph{NumNodes: sym.NumNodes, RowPtr: sym.RowPtr, ColIdx: sym.ColIdx, Wt: sym.Wt}
+		fresh.BuildIn()
+		if !reflect.DeepEqual(sym.InRowPtr, fresh.InRowPtr) || !reflect.DeepEqual(sym.InColIdx, fresh.InColIdx) ||
+			!reflect.DeepEqual(sym.InWt, fresh.InWt) {
+			t.Errorf("%s: Sym in-edges differ from BuildIn", c.name)
+		}
+		distinct := int64(len(sym.RowPtr))*8 + int64(len(sym.ColIdx))*4 + int64(len(sym.Wt))*4
+		if got := core.PreparedBytes(in.Name, gen.ScaleTest); got != distinct {
+			t.Errorf("%s: PreparedBytes = %d, want %d (Sym's distinct arrays)", c.name, got, distinct)
+		}
+		core.DropPrepared(in.Name, gen.ScaleTest)
 	}
 }

@@ -347,7 +347,9 @@ func (g *Graph) symRow(u uint32, col, wt []uint32) int {
 		}
 		v := min(x, y)
 		// Which list holds v is unpredictable, so both advance, and the
-		// weight is picked, by conditional moves rather than branches.
+		// weight is picked, by conditional moves rather than branches: on
+		// BenchmarkSymmetrize/merge this takes about a quarter less time
+		// than a plain three-way merge (EXPERIMENTS.md).
 		da, db := 0, 0
 		if x == v {
 			da = 1

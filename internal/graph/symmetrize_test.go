@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -119,5 +120,42 @@ func TestAliasInMatchesBuildIn(t *testing.T) {
 		if got, want := fresh.SizeBytes(), 2*distinct; got != want {
 			t.Fatalf("weighted=%v: copied SizeBytes = %d, want %d", weighted, got, want)
 		}
+	}
+}
+
+// BenchmarkSymmetrize times the closure of a skewed weighted graph — an
+// RMAT scale-13 edge list, quadrant odds 0.57/0.19/0.19/0.05, 16 edges per
+// vertex — through the merge and through the Builder.
+func BenchmarkSymmetrize(b *testing.B) {
+	const scale = 13
+	r := rand.New(rand.NewSource(3))
+	edges := make([][3]uint32, 16<<scale)
+	for k := range edges {
+		var u, v uint32
+		for bit := 0; bit < scale; bit++ {
+			switch p := r.Float64(); {
+			case p < 0.57:
+			case p < 0.76:
+				v |= 1 << bit
+			case p < 0.95:
+				u |= 1 << bit
+			default:
+				u |= 1 << bit
+				v |= 1 << bit
+			}
+		}
+		edges[k] = [3]uint32{u, v, uint32(r.Intn(255)) + 1}
+	}
+	g := rawGraph(1<<scale, true, true, edges)
+	for _, path := range []struct {
+		name string
+		sym  func() *Graph
+	}{{"merge", g.Symmetrize}, {"builder", g.symmetrizeBuild}} {
+		b.Run(path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				path.sym()
+			}
+		})
 	}
 }

@@ -1,8 +1,8 @@
 package grb
 
 // TypedLoopCalls reports how many kernel calls have run the typed loop of
-// the named semiring ("plus_times", "min_second" or "plus_pair").
+// the named semiring ("plus_times" or "plus_pair").
 func TypedLoopCalls(semiring string) int64 {
-	kind := map[string]semiringKind{"plus_times": kindPlusTimes, "min_second": kindMinSecond, "plus_pair": kindPlusPair}[semiring]
+	kind := map[string]semiringKind{"plus_times": kindPlusTimes, "plus_pair": kindPlusPair}[semiring]
 	return typedCalls[kind].Load()
 }

@@ -16,7 +16,6 @@ import (
 //
 //   - pullDot, plus_times[float64]: pagerank (every variant) and the
 //     incremental pagerank warm and fallback paths;
-//   - pullDot, min_second[uint32]: cc's FastSV MxV;
 //   - dotMxM, plus_pair[int64]: tc and ktruss, which only count
 //     intersections.
 //
@@ -39,7 +38,6 @@ type semiringKind uint8
 const (
 	kindGeneric semiringKind = iota
 	kindPlusTimes
-	kindMinSecond
 	kindPlusPair
 	numKinds
 )
@@ -67,15 +65,8 @@ func pullCost(c *perfmodel.Collector, slot uint32, j, n int) {
 // element type, or nil when the cell has none. ud is densified.
 func typedPullDot[T any](kind semiringKind, ud *Vector[T], A *Matrix[T], alongCols bool, c *perfmodel.Collector) func(int, *galois.Ctx) (T, bool) {
 	var dot any
-	switch kind {
-	case kindPlusTimes:
-		if A, ok := any(A).(*Matrix[float64]); ok {
-			dot = pullDotPlusTimes(any(ud).(*Vector[float64]), A, alongCols, c)
-		}
-	case kindMinSecond:
-		if A, ok := any(A).(*Matrix[uint32]); ok {
-			dot = pullDotMinSecond(any(ud).(*Vector[uint32]), A, alongCols, c)
-		}
+	if A, ok := any(A).(*Matrix[float64]); ok && kind == kindPlusTimes {
+		dot = pullDotPlusTimes(any(ud).(*Vector[float64]), A, alongCols, c)
 	}
 	f, _ := dot.(func(int, *galois.Ctx) (T, bool))
 	if f != nil {
@@ -114,38 +105,6 @@ func pullDotPlusTimes(ud *Vector[float64], A *Matrix[float64], alongCols bool, c
 				c.Load(ud.slot, perfmodel.KVecVals, int(i), 8)
 			}
 			acc += float64(x[i] * vs[e])
-			hit = true
-		}
-		return acc, hit
-	}
-}
-
-// pullDotMinSecond is pullDot for min_second[uint32]. second is the
-// matrix value in VxM (u(i) ⊗ A(i,j)) and the vector value in MxV
-// (A(i,j) ⊗ u(j)), so the orientation picks the loop.
-func pullDotMinSecond(ud *Vector[uint32], A *Matrix[uint32], alongCols bool, c *perfmodel.Collector) func(int, *galois.Ctx) (uint32, bool) {
-	ptr, idx, vals := pullSlices(A, alongCols)
-	x, present := ud.dense, ud.present
-	return func(j int, gctx *galois.Ctx) (uint32, bool) {
-		lo, hi := ptr[j], ptr[j+1]
-		rows, vs := idx[lo:hi], vals[lo:hi]
-		gctx.Work(int64(len(rows)))
-		if c != nil {
-			pullCost(c, A.slot, j, len(rows))
-		}
-		acc, hit := uint32(math.MaxUint32), false
-		for e, i := range rows {
-			if present[i>>6]&(1<<(uint(i)&63)) == 0 {
-				continue
-			}
-			if c != nil {
-				c.Load(ud.slot, perfmodel.KVecVals, int(i), 8)
-			}
-			p := x[i]
-			if alongCols {
-				p = vs[e]
-			}
-			acc = min(acc, p)
 			hit = true
 		}
 		return acc, hit
@@ -208,22 +167,16 @@ func dotPlusPair(aCols []int32, _ []int64, bRows []int32, _ []int64) (int64, boo
 	var n int64
 	x, y := 0, 0
 	for x < len(aCols) && y < len(bRows) {
-		a, b := aCols[x], bRows[y]
-		// Conditional moves, not branches: which side advances is
-		// unpredictable, and the merge is bound by its mispredictions.
-		eq, dx, dy := 0, 0, 0
-		if a == b {
-			eq = 1
+		switch {
+		case aCols[x] < bRows[y]:
+			x++
+		case aCols[x] > bRows[y]:
+			y++
+		default:
+			n++
+			x++
+			y++
 		}
-		if a <= b {
-			dx = 1
-		}
-		if a >= b {
-			dy = 1
-		}
-		n += int64(eq)
-		x += dx
-		y += dy
 	}
 	return n, n > 0, x, y
 }

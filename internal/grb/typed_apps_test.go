@@ -10,14 +10,14 @@ import (
 
 // typedLoopOf names, for every GB cell of a registered app (app and
 // variant), the semiring whose typed loop the cell runs, or "" where its
-// kernels have none: bfs and sssp use lor_land and min_plus, and default
-// pagerank's VxM pushes over the freshly built contribution matrix, which
-// has no CSC mirror to pull along. A new cell must be added here; a
-// semiring constructor that loses its kind fails the test below instead of
-// silently running the generic loop.
+// kernels have none: bfs, cc and sssp use lor_land, min_second and
+// min_plus, and default pagerank's VxM pushes over the freshly built
+// contribution matrix, which has no CSC mirror to pull along. A new cell
+// must be added here; a semiring constructor that loses its kind fails the
+// test below instead of silently running the generic loop.
 var typedLoopOf = map[core.App]map[core.Variant]string{
 	core.BFS:    {core.VDefault: "", core.VFused: "", core.VAdaptive: "", core.VIncremental: ""},
-	core.CC:     {core.VDefault: "min_second", core.VAdaptive: "min_second", core.VIncremental: "min_second"},
+	core.CC:     {core.VDefault: "", core.VAdaptive: "", core.VIncremental: ""},
 	core.KTruss: {core.VDefault: "plus_pair"},
 	core.PR: {core.VDefault: "", core.VGBRes: "plus_times", core.VFused: "plus_times",
 		core.VAdaptive: "plus_times", core.VIncremental: "plus_times"},

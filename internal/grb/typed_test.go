@@ -22,7 +22,7 @@ import (
 // .Mul calls, so operand order inside the typed loops is policed here.
 
 // typedCells are the cells with a typed loop.
-var typedCells = []string{"plus_times/vxm", "plus_times/mxv", "min_second/vxm", "min_second/mxv", "plus_pair/mxm"}
+var typedCells = []string{"plus_times/vxm", "plus_times/mxv", "plus_pair/mxm"}
 
 // generic returns s with the zero kind: the kernels run its generic loop.
 func generic[T any](s Semiring[T]) Semiring[T] {
@@ -68,18 +68,6 @@ func typedFloat(r *rand.Rand) float64 {
 	return randFloat(r)
 }
 
-// typedU32 draws min_second operands, including the min monoid's identity
-// (MaxValue) and zero.
-func typedU32(r *rand.Rand) uint32 {
-	switch r.Intn(8) {
-	case 0:
-		return MaxValue[uint32]()
-	case 1:
-		return 0
-	}
-	return uint32(r.Intn(1000))
-}
-
 // typedMask builds the case's mask over n positions.
 func typedMask(r *rand.Rand, n, kind int) *Mask {
 	switch kind {
@@ -98,39 +86,37 @@ func (c typedCase) check(ctx *Context) error {
 	r := rand.New(rand.NewSource(c.seed))
 	switch {
 	case strings.HasPrefix(c.cell, "plus_times/"):
-		return checkTypedSpMV(ctx, c, r, PlusTimes[float64](), typedFloat, math.Float64bits)
-	case strings.HasPrefix(c.cell, "min_second/"):
-		return checkTypedSpMV(ctx, c, r, MinSecond[uint32](), typedU32, func(x uint32) uint64 { return uint64(x) })
+		return checkTypedSpMV(ctx, c, r)
 	case c.cell == "plus_pair/mxm":
 		return checkTypedMxM(ctx, c, r)
 	}
 	panic("unknown cell " + c.cell)
 }
 
-// spmvInputs are one SpMV case's operands.
-type spmvInputs[T any] struct {
-	A     *Matrix[T]
-	w0, u *Vector[T]
+// spmvInputs are one plus_times SpMV case's operands.
+type spmvInputs struct {
+	A     *Matrix[float64]
+	w0, u *Vector[float64]
 	mask  *Mask
-	accum BinaryOp[T]
+	accum BinaryOp[float64]
 }
 
-func newSpMVInputs[T any](c typedCase, r *rand.Rand, s Semiring[T], val func(*rand.Rand) T) spmvInputs[T] {
-	in := spmvInputs[T]{
-		A:    randMatrix(r, c.n, c.n, 4*c.n, val),
-		w0:   randVector(r, c.n, c.n/3+1, c.wrep, val),
-		u:    randVector(r, c.n, c.n/2+1, c.urep, val),
+func newSpMVInputs(c typedCase, r *rand.Rand) spmvInputs {
+	in := spmvInputs{
+		A:    randMatrix(r, c.n, c.n, 4*c.n, typedFloat),
+		w0:   randVector(r, c.n, c.n/3+1, c.wrep, typedFloat),
+		u:    randVector(r, c.n, c.n/2+1, c.urep, typedFloat),
 		mask: typedMask(r, c.n, c.mask),
 	}
 	in.A.EnsureCSC()
 	if c.accum {
-		in.accum = s.Add.Op
+		in.accum = PlusTimes[float64]().Add.Op
 	}
 	return in
 }
 
 // run performs the case's pull SpMV under s and returns w as Dense.
-func (in spmvInputs[T]) run(ctx *Context, c typedCase, s Semiring[T]) (*Vector[T], error) {
+func (in spmvInputs) run(ctx *Context, c typedCase, s Semiring[float64]) (*Vector[float64], error) {
 	w := in.w0.Dup()
 	u := in.u.Dup()
 	if c.alias {
@@ -147,21 +133,21 @@ func (in spmvInputs[T]) run(ctx *Context, c typedCase, s Semiring[T]) (*Vector[T
 	return w, err
 }
 
-func checkTypedSpMV[T any](ctx *Context, c typedCase, r *rand.Rand, s Semiring[T], val func(*rand.Rand) T, bits func(T) uint64) error {
-	in := newSpMVInputs(c, r, s, val)
-	got, err := in.run(ctx, c, s)
+func checkTypedSpMV(ctx *Context, c typedCase, r *rand.Rand) error {
+	in := newSpMVInputs(c, r)
+	got, err := in.run(ctx, c, PlusTimes[float64]())
 	if err != nil {
 		return err
 	}
-	want, err := in.run(ctx, c, generic(s))
+	want, err := in.run(ctx, c, generic(PlusTimes[float64]()))
 	if err != nil {
 		return err
 	}
-	return sameVector(got, want, bits)
+	return sameVector(got, want)
 }
 
 // sameVector compares two Dense vectors bitwise, absent slots included.
-func sameVector[T any](got, want *Vector[T], bits func(T) uint64) error {
+func sameVector(got, want *Vector[float64]) error {
 	if got.NVals() != want.NVals() {
 		return fmt.Errorf("NVals %d, want %d", got.NVals(), want.NVals())
 	}
@@ -169,7 +155,7 @@ func sameVector[T any](got, want *Vector[T], bits func(T) uint64) error {
 		if got.present.get(i) != want.present.get(i) {
 			return fmt.Errorf("presence at %d: %v, want %v", i, got.present.get(i), want.present.get(i))
 		}
-		if g, w := bits(got.dense[i]), bits(want.dense[i]); g != w {
+		if g, w := math.Float64bits(got.dense[i]), math.Float64bits(want.dense[i]); g != w {
 			return fmt.Errorf("value at %d: bits %x, want %x", i, g, w)
 		}
 	}
@@ -296,13 +282,9 @@ func TestTypedKernelsSameCounters(t *testing.T) {
 		r := rand.New(rand.NewSource(c.seed))
 		switch {
 		case strings.HasPrefix(cell, "plus_times/"):
-			in := newSpMVInputs(c, r, PlusTimes[float64](), typedFloat)
+			in := newSpMVInputs(c, r)
 			typed = func() { in.run(ctx, c, PlusTimes[float64]()) }
 			oracle = func() { in.run(ctx, c, generic(PlusTimes[float64]())) }
-		case strings.HasPrefix(cell, "min_second/"):
-			in := newSpMVInputs(c, r, MinSecond[uint32](), typedU32)
-			typed = func() { in.run(ctx, c, MinSecond[uint32]()) }
-			oracle = func() { in.run(ctx, c, generic(MinSecond[uint32]())) }
 		default:
 			in := newMxMInputs(c, r)
 			typed = func() { in.run(ctx, PlusPair[int64]()) }
@@ -360,10 +342,10 @@ func FuzzSemiringKernels(f *testing.F) {
 }
 
 // BenchmarkSemiringKernels times each typed cell against the generic loop
-// on the symmetrized skewed RMAT graph at one worker, in the shape its app runs it:
-// pagerank's VxM pull into a Dense vector, cc's MxV pull, and tc's masked
-// dot MxM. edges/s counts the matrix entries an SpMV walks, and the merge
-// steps of the dot MxM.
+// on the symmetrized skewed RMAT graph at one worker, in the shape its app
+// runs it: pagerank's VxM pull into a Dense vector and tc's masked dot MxM.
+// edges/s counts the matrix entries an SpMV walks, and the merge steps of
+// the dot MxM.
 func BenchmarkSemiringKernels(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	sym := gen.RMAT(13, 16, 0.57, 0.19, 0.19, true, 255, 3).Symmetrize()
@@ -372,13 +354,10 @@ func BenchmarkSemiringKernels(b *testing.B) {
 	S.EnsureCSC()
 	Af := CastMatrix(S, func(int64) float64 { return 1 })
 	Af.EnsureCSC()
-	Au := CastMatrix(S, func(int64) uint32 { return 1 })
-	// Every position present, as in pagerank's contributions and cc's
-	// parent vector.
-	uf, uu := NewVector[float64](n, Dense), NewVector[uint32](n, Dense)
+	// Every position present, as in pagerank's contributions.
+	uf := NewVector[float64](n, Dense)
 	for i := 0; i < n; i++ {
 		uf.SetElement(i, randFloat(r))
-		uu.SetElement(i, uint32(r.Intn(n)))
 	}
 	var merge int64
 	for i := 0; i < n; i++ {
@@ -401,13 +380,6 @@ func BenchmarkSemiringKernels(b *testing.B) {
 				s = generic(s)
 			}
 			return VxM(ctx, NewVector[float64](n, Dense), nil, nil, s, uf, Af, Desc{Replace: true, Force: HintPull})
-		}},
-		{"min_second/mxv", S.NVals(), func(typed bool) error {
-			s := MinSecond[uint32]()
-			if !typed {
-				s = generic(s)
-			}
-			return MxV(ctx, NewVector[uint32](n, Dense), nil, nil, s, Au, uu, Desc{Replace: true, Force: HintPull})
 		}},
 		{"plus_pair/mxm", merge, func(typed bool) error {
 			s := PlusPair[int64]()

@@ -45,7 +45,9 @@ func (m Monoid[T]) Reduce(acc, v T) T { return m.Op(acc, v) }
 // kind records which constructor built the semiring, so the product kernels
 // can run a typed inner loop for it (typed.go). A literal Semiring — even
 // one named like a constructor's — has the zero kind and always runs the
-// generic loop over Add.Op and Mul.
+// generic loop over Add.Op and Mul. The typed loops ignore Add and Mul, so
+// replacing either on a copy of a constructor's semiring is not supported:
+// build a literal instead.
 type Semiring[T any] struct {
 	Name string
 	Add  Monoid[T]
@@ -167,7 +169,6 @@ func MinPlus[T Number]() Semiring[T] {
 func MinSecond[T Number]() Semiring[T] {
 	return Semiring[T]{
 		Name: "min_second",
-		kind: kindMinSecond,
 		Add:  MinMonoid[T](),
 		Mul:  func(a, b T) T { return b },
 	}

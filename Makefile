@@ -33,12 +33,16 @@ race:
 # Focused gate for the parallel kernel backend: the equivalence, metamorphic,
 # alias, and digest-stability suites under the race detector at a fixed
 # worker count, plus a does-it-run pass over the SpMV scaling benchmark and
-# the typed-vs-generic semiring kernel benchmark.
+# the typed-vs-generic semiring kernel benchmark. The grb suite includes
+# the workspace reuse tests (push accumulators across calls, element types
+# and generation wraparound); the lagraph allocation gate pins what one
+# eager bfs, sssp, pr and cc round allocates at one worker.
 # The adapt suite sweeps no worker counts, so it registers no -grb.workers
 # flag and runs without it.
 test-parallel:
 	$(GO) test ./internal/grb ./internal/verify ./internal/fuse -race -grb.workers=4
 	$(GO) test ./internal/adapt -race
+	$(GO) test ./internal/lagraph -run '^TestEagerRoundAllocs$$' -count=1
 	$(GO) test ./internal/grb -run '^$$' -bench 'SpMV|SemiringKernels' -benchtime 1x
 
 # Repeats the suites that assert run-to-run identity (bench cell digests,
@@ -50,9 +54,9 @@ test-determinism:
 
 # Short fuzzing pass over every untrusted-input decoder, plus the snapshot
 # merge checked against a full rebuild, the in-place Dense kernels checked
-# against the entry-list path, the typed semiring loops checked against the
-# generic loop, and the merge-built symmetric closure checked against the
-# Builder path. Go allows one fuzz target per
+# against the entry-list path, mask views checked against materialized
+# bitmap masks, the typed semiring loops checked against the generic loop,
+# and the merge-built symmetric closure checked against the Builder path. Go allows one fuzz target per
 # invocation, so each runs separately; 30s apiece keeps this CI-sized while
 # still exercising the mutator beyond the seed corpus.
 FUZZTIME ?= 30s
@@ -69,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptEquivalence$$' -fuzztime $(FUZZTIME) ./internal/adapt/
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalEquivalence$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
+	$(GO) test -run '^$$' -fuzz '^FuzzMaskViews$$' -fuzztime $(FUZZTIME) ./internal/grb/
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiringKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
 	$(GO) test -run '^$$' -fuzz '^FuzzSymmetrize$$' -fuzztime $(FUZZTIME) ./internal/graph/
 
@@ -127,7 +132,7 @@ check: build vet lint
 # columns get a 10x + 1s floor so CI noise cannot trip them.
 # bench-baseline rewrites the committed baseline — run it (and commit the
 # diff) when a change legitimately moves the numbers.
-BENCH_BASELINE ?= BENCH_9.json
+BENCH_BASELINE ?= BENCH_10.json
 BENCH_FRESH ?= BENCH_fresh.json
 BENCH_SCENARIO ?= smoke
 

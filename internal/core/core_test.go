@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"graphstudy/internal/gen"
+	"graphstudy/internal/trace"
 )
 
 func spec(app App, sys System, v Variant, name string) RunSpec {
@@ -143,11 +145,39 @@ func TestRunReportsAllocations(t *testing.T) {
 func TestMaterializationStory(t *testing.T) {
 	// The matrix API materializes L, U', and C for tc; Lonestar keeps a
 	// counter. GB must allocate substantially more than LS in the timed
-	// region (study section V-A3).
-	gb := Run(spec(TC, GB, VDefault, "rmat22"))
-	ls := Run(spec(TC, LS, VDefault, "rmat22"))
-	if gb.AllocBytes < 4*ls.AllocBytes {
-		t.Fatalf("GB alloc %d not clearly above LS alloc %d", gb.AllocBytes, ls.AllocBytes)
+	// region (study section V-A3). Result.AllocBytes reads the runtime's
+	// cumulative-allocation metric, which counts a small allocation only
+	// once its span leaves the P's cache, so a short run reads up to a
+	// cached span per size class per P too much or too little. Here every
+	// run is bracketed by runtime.ReadMemStats, which flushes those caches,
+	// so the byte counts are exact; a first run of each spec builds the
+	// derived forms outside the measurement.
+	gbSpec := spec(TC, GB, VDefault, "rmat22")
+	lsSpec := spec(TC, LS, VDefault, "rmat22")
+	allocs := func(s RunSpec) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if r := Run(s); r.Outcome != OK {
+			t.Fatalf("%v/%v: outcome %v (%v)", s.App, s.System, r.Outcome, r.Err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocs(gbSpec)
+	allocs(lsSpec)
+	gb, ls := allocs(gbSpec), allocs(lsSpec)
+	t.Logf("allocated in the run: GB %d B, LS %d B", gb, ls)
+	if gb < 4*ls {
+		t.Fatalf("GB alloc %d not clearly above LS alloc %d", gb, ls)
+	}
+	// The same claim in the trace's deterministic currency: GB's kernels
+	// materialize bytes, Lonestar's loops none.
+	bytes := func(s RunSpec) int64 {
+		s.Trace = trace.New()
+		return Run(s).Trace.Bytes
+	}
+	if gbB, lsB := bytes(gbSpec), bytes(lsSpec); gbB <= 0 || lsB != 0 {
+		t.Fatalf("trace bytes materialized: GB %d (want > 0), LS %d (want 0)", gbB, lsB)
 	}
 }
 

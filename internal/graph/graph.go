@@ -277,9 +277,17 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // merge of OutEdges(u) and InEdges(u), built in two passes into exactly
 // sized arrays. Otherwise it goes through a Builder, with a sort per row.
 // Both give the same arrays.
-func (g *Graph) Symmetrize() *Graph {
+func (g *Graph) Symmetrize() *Graph { return g.symmetrize(g.Wt != nil) }
+
+// SymmetrizePattern is Symmetrize without weights: the closure's pattern,
+// for consumers that read no weight.
+func (g *Graph) SymmetrizePattern() *Graph { return g.symmetrize(false) }
+
+// symmetrize builds the closure, carrying weights when weighted is set
+// (g must then be weighted).
+func (g *Graph) symmetrize(weighted bool) *Graph {
 	if !g.mergeable() {
-		return g.symmetrizeBuild()
+		return g.symmetrizeBuild(weighted)
 	}
 	n := g.NumNodes
 	rowPtr := make([]uint64, n+1)
@@ -288,7 +296,7 @@ func (g *Graph) Symmetrize() *Graph {
 	}
 	m := rowPtr[n]
 	out := &Graph{NumNodes: n, RowPtr: rowPtr, ColIdx: make([]uint32, m)}
-	if g.Wt != nil {
+	if weighted {
 		out.Wt = make([]uint32, m)
 	}
 	for u := uint32(0); u < n; u++ {
@@ -388,8 +396,8 @@ func (g *Graph) symRow(u uint32, col, wt []uint32) int {
 
 // symmetrizeBuild is Symmetrize through a Builder: every non-loop edge is
 // added in both directions, then rows are sorted and deduplicated.
-func (g *Graph) symmetrizeBuild() *Graph {
-	b := NewBuilder(g.NumNodes, g.Wt != nil)
+func (g *Graph) symmetrizeBuild(weighted bool) *Graph {
+	b := NewBuilder(g.NumNodes, weighted)
 	b.Reserve(2 * int(g.NumEdges()))
 	for u := uint32(0); u < g.NumNodes; u++ {
 		lo, hi := g.RowPtr[u], g.RowPtr[u+1]
@@ -399,7 +407,7 @@ func (g *Graph) symmetrizeBuild() *Graph {
 				continue
 			}
 			w := uint32(0)
-			if g.Wt != nil {
+			if weighted {
 				w = g.Wt[e]
 			}
 			b.AddEdge(u, v, w)

@@ -34,12 +34,18 @@ func checkSymmetrize(t *testing.T, name string, g *Graph, wantMerge bool) {
 	if got := g.mergeable(); got != wantMerge {
 		t.Fatalf("%s: mergeable = %v, want %v", name, got, wantMerge)
 	}
-	got, want := g.Symmetrize(), g.symmetrizeBuild()
+	got, want := g.Symmetrize(), g.symmetrizeBuild(g.Wt != nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Symmetrize =\n%+v\nwant\n%+v", name, got, want)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
+	}
+	// The pattern closure is the closure with its weights dropped.
+	pat := g.SymmetrizePattern()
+	want.Wt = nil
+	if !reflect.DeepEqual(pat, want) {
+		t.Fatalf("%s: SymmetrizePattern =\n%+v\nwant\n%+v", name, pat, want)
 	}
 }
 
@@ -150,7 +156,7 @@ func BenchmarkSymmetrize(b *testing.B) {
 	for _, path := range []struct {
 		name string
 		sym  func() *Graph
-	}{{"merge", g.Symmetrize}, {"builder", g.symmetrizeBuild}} {
+	}{{"merge", g.Symmetrize}, {"builder", func() *Graph { return g.symmetrizeBuild(true) }}} {
 		b.Run(path.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

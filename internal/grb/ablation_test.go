@@ -89,6 +89,8 @@ func BenchmarkAblationPushPull(b *testing.B) {
 	A := ablationMatrix(b)
 	n := A.NRows()
 	ctx := NewGaloisBLASContext(4)
+	ws := ctx.acquire()
+	defer ctx.release(ws)
 	for _, fill := range []int{n / 256, n / 16, n} {
 		u := NewVector[uint32](n, Dense)
 		for i := 0; i < fill; i++ {
@@ -99,7 +101,7 @@ func BenchmarkAblationPushPull(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var e entryList[uint32]
 					if mode == "push" {
-						e = spmvPush(ctx, nil, MinPlus[uint32](), u, A, true)
+						e = spmvPush(ctx, ws, nil, MinPlus[uint32](), u, A, true)
 					} else {
 						e = spmvPull(ctx, nil, MinPlus[uint32](), u, A, true)
 					}

@@ -54,29 +54,6 @@ func (b bitmap) forEach(fn func(i int)) {
 	}
 }
 
-// forEachIn calls fn for every set bit in [lo, hi) in ascending order; the
-// blocked kernels use it to scan a mask block without touching absent bits.
-func (b bitmap) forEachIn(lo, hi int, fn func(i int)) {
-	if lo >= hi {
-		return
-	}
-	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
-		w := b[wi]
-		base := wi << 6
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			i := base + bit
-			if i >= hi {
-				return
-			}
-			if i >= lo {
-				fn(i)
-			}
-			w &= w - 1
-		}
-	}
-}
-
 func (b bitmap) clone() bitmap {
 	out := make(bitmap, len(b))
 	copy(out, b)

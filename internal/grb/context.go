@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"graphstudy/internal/galois"
@@ -54,6 +55,12 @@ type Context struct {
 	// the blocking (float folds regroup), so production code leaves it 0 and
 	// only the metamorphic tests sweep it.
 	Block int
+
+	// ws is the per-run kernel workspace (see workspace). A kernel takes
+	// it for the length of its call and puts it back, so a Context reused
+	// across calls reuses the scratch, and two goroutines that happen to
+	// share a Context never share a workspace.
+	ws atomic.Pointer[workspace]
 }
 
 // Stopped reports whether a timeout/cancel was requested.
@@ -78,3 +85,90 @@ func NewSerialContext() *Context {
 
 // threads returns the executor's worker count.
 func (c *Context) threads() int { return c.Ex.Threads() }
+
+// workspace is the scratch the kernels of one run reuse from call to call,
+// so that a round whose frontier is small costs no O(n) allocation: the
+// push accumulators of spmvPush (one per worker, see accMarks), and the
+// bitmap a Sorted or List mask source is spread into. It lives on the
+// Context, so it is dropped with the run rather than pooled process-wide.
+type workspace struct {
+	accs []*accMarks
+	// scratch holds the bitmap of the Sorted/List mask bound to the current
+	// call; words lists the words spread set, which release clears.
+	scratch bitmap
+	words   []int32
+	mv      maskView
+}
+
+// acquire takes the Context's workspace for one kernel call, or a fresh
+// one when another call holds it.
+func (c *Context) acquire() *workspace {
+	if ws := c.ws.Swap(nil); ws != nil {
+		return ws
+	}
+	return &workspace{}
+}
+
+// release clears the call's mask scratch and hands the workspace back.
+func (c *Context) release(ws *workspace) {
+	for _, wi := range ws.words {
+		ws.scratch[wi] = 0
+	}
+	ws.words = ws.words[:0]
+	ws.mv = maskView{}
+	c.ws.Store(ws)
+}
+
+// bind resolves m for the current call. A nil mask binds to a nil view.
+func (ws *workspace) bind(m *Mask) *maskView {
+	if m == nil {
+		return nil
+	}
+	return m.src.view(ws, m.Complement)
+}
+
+// setView stores the call's mask view in the workspace, so binding does
+// not allocate.
+func (ws *workspace) setView(mv maskView) *maskView {
+	ws.mv = mv
+	return &ws.mv
+}
+
+// spread sets, in the scratch bitmap, position idx[k] for every k that
+// keep admits, and returns the view of that n-position bitmap with the
+// sorted list of the words it set.
+func (ws *workspace) spread(n int, idx []int32, keep func(k int) bool, comp bool) *maskView {
+	nw := (n + 63) >> 6
+	if len(ws.scratch) < nw {
+		ws.scratch = newBitmap(n)
+	}
+	b := ws.scratch[:nw]
+	if ws.words == nil {
+		ws.words = make([]int32, 0, 64) // non-nil: an empty list still names no word
+	}
+	for k, i := range idx {
+		if keep(k) {
+			b.set(int(i))
+			ws.words = append(ws.words, i>>6)
+		}
+	}
+	slices.Sort(ws.words) // already sorted for a Sorted source
+	ws.words = slices.Compact(ws.words)
+	return ws.setView(maskView{bits: b, words: ws.words, comp: comp})
+}
+
+// pushAccs starts an spmvPush call: it empties every accumulator's
+// extracted-index buffer, whose entries belong to the previous call (take
+// truncates the values to match), and returns the per-worker slots for t
+// workers. A nil slot is filled by the worker that first needs it.
+func (ws *workspace) pushAccs(t int) []*accMarks {
+	if len(ws.accs) < t {
+		ws.accs = append(ws.accs, make([]*accMarks, t-len(ws.accs))...)
+	}
+	for _, m := range ws.accs {
+		if m != nil {
+			m.idx = m.idx[:0]
+		}
+	}
+	return ws.accs[:t]
+}

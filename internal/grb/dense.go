@@ -52,13 +52,31 @@ func newDenseRead[T any](u *Vector[T]) denseRead[T] {
 		return denseRead[T]{kind: readAll}
 	case u.rep == Dense:
 		return denseRead[T]{kind: readDense, dense: u.dense, present: u.present}
-	case u.rep == Sorted:
-		return denseRead[T]{kind: readSorted, idx: u.idx, vals: u.vals}
+	}
+	idx, vals := sortedEntries(u)
+	return denseRead[T]{kind: readSorted, idx: idx, vals: vals}
+}
+
+// sortedEntries returns u's explicit entries in ascending index order: a
+// Sorted vector's own slices, otherwise a sorted copy. The caller must not
+// mutate them, nor u while it reads them.
+func sortedEntries[T any](u *Vector[T]) ([]int32, []T) {
+	switch u.rep {
+	case Sorted:
+		return u.idx, u.vals
+	case Dense:
+		idx := make([]int32, 0, u.ndense)
+		vals := make([]T, 0, u.ndense)
+		u.present.forEach(func(i int) {
+			idx = append(idx, int32(i))
+			vals = append(vals, u.dense[i])
+		})
+		return idx, vals
 	}
 	idx := append([]int32(nil), u.idx...)
 	vals := append([]T(nil), u.vals...)
 	sortEntries(idx, vals)
-	return denseRead[T]{kind: readSorted, idx: idx, vals: vals}
+	return idx, vals
 }
 
 // seek positions the cursor at the first entry of word wlo.
@@ -110,22 +128,6 @@ func (r *denseRead[T]) at(i int, p uint64) T {
 	return zero
 }
 
-// word returns the positions of bitmap word wi that the mask lets an
-// n-position output write.
-func (m *Mask) word(wi, n int) uint64 {
-	a := ^uint64(0)
-	if m != nil {
-		a = m.pattern[wi]
-		if m.Complement {
-			a = ^a
-		}
-	}
-	if rem := n - wi<<6; rem < 64 {
-		a &= 1<<uint(rem) - 1
-	}
-	return a
-}
-
 // denseVal computes a kernel's value at position i from the operands'
 // values x and y, which are present when hx and hy are (an absent operand
 // is present everywhere with zero values). It reports false when the
@@ -138,17 +140,34 @@ type denseVal[T any] func(i int, x, y T, hx, hy bool, gctx *galois.Ctx) (T, bool
 // present (union: either is). u or v may be nil. It returns how many
 // positions were computed, the length of the entry list the staged path
 // would have built.
-func writeDense[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], replace bool, u, v *Vector[T], union bool, val denseVal[T]) int {
+func writeDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryOp[T], replace bool, u, v *Vector[T], union bool, val denseVal[T]) int {
 	ru, rv := newDenseRead(u), newDenseRead(v)
 	n := w.n
-	var computed atomic.Int64
-	galois.ForBlocks(ctx.Ex, len(w.present), (ctx.blockFor(n)+63)>>6, func(_, wlo, whi int, gctx *galois.Ctx) {
+	// A mask spread from a sparse source names the only words a write can
+	// change, unless it is complemented or replace clears every word; then
+	// only those words are visited, so the call costs O(mask), not O(n).
+	var words []int32
+	nw, block := len(w.present), (ctx.blockFor(n)+63)>>6
+	if mask != nil && mask.words != nil && !mask.comp && !replace {
+		words = mask.words
+		nw, block = len(words), ctx.blockFor(len(words))
+	}
+	var computed, grown atomic.Int64
+	galois.ForBlocks(ctx.Ex, nw, block, func(_, lo, hi int, gctx *galois.Ctx) {
 		bu, bv := ru, rv
-		bu.seek(wlo)
-		bv.seek(wlo)
+		if words == nil {
+			bu.seek(lo)
+			bv.seek(lo)
+		}
 		var zero T
-		k := 0
-		for wi := wlo; wi < whi; wi++ {
+		k, d := 0, 0
+		for x := lo; x < hi; x++ {
+			wi := x
+			if words != nil {
+				wi = int(words[x])
+				bu.seek(wi)
+				bv.seek(wi)
+			}
 			pu, pv := bu.word(wi), bv.word(wi)
 			cand := pu & pv
 			if union {
@@ -188,10 +207,12 @@ func writeDense[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T]
 				w.dense[base+bits.TrailingZeros64(c)] = zero
 			}
 			w.present[wi] = p
+			d += bits.OnesCount64(p) - bits.OnesCount64(old)
 		}
 		computed.Add(int64(k))
+		grown.Add(int64(d))
 	})
-	w.ndense = w.present.count()
+	w.ndense += int(grown.Load())
 	return int(computed.Load())
 }
 

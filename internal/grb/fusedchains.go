@@ -38,7 +38,10 @@ import (
 type FusedStats struct {
 	// Elided counts bytes of intermediate materializations the eager chain
 	// would have allocated and this kernel did not: mask bitmaps, alias
-	// snapshots (Dup), densified copies, and intermediate entry lists.
+	// snapshots (Dup), densified copies, and intermediate entry lists. The
+	// eager kernels now read masks over Dense sources and eWiseAdd's sparse
+	// operand in place, so for those items the figure is the fusion
+	// ledger's fixed unit, not what an eager run allocates.
 	Elided int64
 	// NNZIn / NNZOut are the chain's input and output nonzeros.
 	NNZIn  int64
@@ -167,7 +170,10 @@ func FusedVxMApply[T any](ctx *Context, w *Vector[T], s Semiring[T], u *Vector[T
 	if usePull {
 		e = spmvPull(ctx, nil, s, u, A, true)
 	} else {
-		e = spmvPush(ctx, nil, s, u, A, true)
+		// e lives in ws's buffers until the workspace is released.
+		ws := ctx.acquire()
+		defer ctx.release(ws)
+		e = spmvPush(ctx, ws, nil, s, u, A, true)
 	}
 	galois.ForBlocks(ctx.Ex, len(e.vals), ctx.blockFor(len(e.vals)), func(b, lo, hi int, gctx *galois.Ctx) {
 		for k := lo; k < hi; k++ {
@@ -299,7 +305,10 @@ func FusedRelax[T comparable](ctx *Context, next, t *Vector[T], s Semiring[T], u
 	if usePull {
 		e = spmvPull(ctx, nil, s, u, A, true)
 	} else {
-		e = spmvPush(ctx, nil, s, u, A, true)
+		// e lives in ws's buffers until the workspace is released.
+		ws := ctx.acquire()
+		defer ctx.release(ws)
+		e = spmvPush(ctx, ws, nil, s, u, A, true)
 	}
 	var zero T
 	block := ctx.blockFor(len(e.idx))
@@ -371,7 +380,10 @@ func FusedVxMAccum[T any](ctx *Context, t *Vector[T], op BinaryOp[T], s Semiring
 	if usePull {
 		e = spmvPull(ctx, nil, s, u, A, true)
 	} else {
-		e = spmvPush(ctx, nil, s, u, A, true)
+		// e lives in ws's buffers until the workspace is released.
+		ws := ctx.acquire()
+		defer ctx.release(ws)
+		e = spmvPush(ctx, ws, nil, s, u, A, true)
 	}
 	galois.ForBlocks(ctx.Ex, len(e.idx), ctx.blockFor(len(e.idx)), func(b, lo, hi int, gctx *galois.Ctx) {
 		for k := lo; k < hi; k++ {

@@ -76,9 +76,10 @@ func TestAssignConstantAccum(t *testing.T) {
 	ctx := NewSerialContext()
 	v := NewVector[int32](4, Dense)
 	v.SetElement(0, 5)
-	mask := &Mask{n: 4, pattern: newBitmap(4)}
-	mask.pattern.set(0)
-	mask.pattern.set(1)
+	sel := NewVector[bool](4, Sorted)
+	sel.SetElement(0, true)
+	sel.SetElement(1, true)
+	mask := StructMask(sel)
 	plus := func(a, b int32) int32 { return a + b }
 	if err := AssignConstant(ctx, v, mask, plus, 10, Desc{}); err != nil {
 		t.Fatal(err)

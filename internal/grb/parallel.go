@@ -1,7 +1,8 @@
 package grb
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"graphstudy/internal/galois"
 )
@@ -62,26 +63,73 @@ func blockedEntries[T any](ctx *Context, n int, produce func(lo, hi int, gctx *g
 	return stitch(parts)
 }
 
-// pushAcc is the dense scatter accumulator of the SAXPY kernels: one value
-// slot per output position with generation marks, so clearing between blocks
-// costs O(touched) rather than O(n). Workers reuse one accumulator across
-// the blocks they happen to process; take() snapshots a block's result so
-// reuse never leaks state between blocks.
-type pushAcc[T any] struct {
-	vals  []T
-	mark  []int32
-	gen   int32
-	touch []int32
+// blockedWords is blockedEntries over the 64-position words of an
+// n-position index space, cut into blocks of words the way writeDense cuts
+// them: produce appends the entries of words [wlo, whi) in ascending order.
+func blockedWords[T any](ctx *Context, n int, produce func(wlo, whi int, out *entryList[T])) entryList[T] {
+	nw := (n + 63) >> 6
+	block := (ctx.blockFor(n) + 63) >> 6
+	parts := make([]entryList[T], galois.NumBlocks(nw, block))
+	galois.ForBlocks(ctx.Ex, nw, block, func(b, wlo, whi int, _ *galois.Ctx) {
+		produce(wlo, whi, &parts[b])
+	})
+	return stitch(parts)
 }
 
-func newPushAcc[T any](n int) *pushAcc[T] {
-	return &pushAcc[T]{vals: make([]T, n), mark: make([]int32, n), gen: 1}
+// accMarks is the element-type-independent half of a push accumulator: a
+// bitmap of the positions touched since the last take, the touched
+// positions in scatter order, and the indices of the entries take has
+// extracted during the current call. It lives in the run's workspace, one
+// per worker, and is reused by every spmvPush of the run whatever its
+// element type; typed holds the *accVals of the type last used.
+type accMarks struct {
+	seen  bitmap
+	touch []int32
+	idx   []int32
+	typed any
+}
+
+// accVals is the typed half of a push accumulator: a value slot per output
+// position, and the values of the extracted entries, parallel to
+// accMarks.idx.
+type accVals[T any] struct {
+	vals []T
+	out  []T
+}
+
+// pushAcc is the dense scatter accumulator of the SAXPY kernels: one value
+// slot per output position and a bitmap of the touched ones, which take
+// clears in O(touched) rather than O(n). Workers reuse one accumulator
+// across the blocks they happen to process, and the run reuses it across
+// calls; take() extracts a block's result so reuse never leaks state
+// between blocks.
+type pushAcc[T any] struct {
+	*accMarks
+	*accVals[T]
+}
+
+// accFor returns m as an accumulator over n positions of T, growing its
+// arrays when n or the element type needs it.
+func accFor[T any](m *accMarks, n int) pushAcc[T] {
+	if len(m.seen) < (n+63)>>6 {
+		m.seen = newBitmap(n)
+	}
+	tv, _ := m.typed.(*accVals[T])
+	if tv == nil {
+		tv = new(accVals[T])
+		m.typed = tv
+	}
+	if len(tv.vals) < n {
+		tv.vals = make([]T, n)
+	}
+	return pushAcc[T]{m, tv}
 }
 
 // add folds p into position j under addOp.
-func (a *pushAcc[T]) add(j int32, p T, addOp BinaryOp[T]) {
-	if a.mark[j] != a.gen {
-		a.mark[j] = a.gen
+func (a pushAcc[T]) add(j int32, p T, addOp BinaryOp[T]) {
+	w, bit := &a.seen[j>>6], uint64(1)<<(uint(j)&63)
+	if *w&bit == 0 {
+		*w |= bit
 		a.vals[j] = p
 		a.touch = append(a.touch, j)
 	} else {
@@ -89,21 +137,51 @@ func (a *pushAcc[T]) add(j int32, p T, addOp BinaryOp[T]) {
 	}
 }
 
+// scanWords bounds when take reads the touched set out of the seen bitmap
+// instead of sorting it: when the bitmap words spanned by the touched
+// positions number fewer than scanWords per position, the scan is cheaper
+// than the sort.
+const scanWords = 16
+
 // take extracts the accumulated entries sorted by index and resets the
 // accumulator for reuse. Sorting makes the extracted list — and anything
-// folded from it in a fixed order — independent of scatter order.
-func (a *pushAcc[T]) take() entryList[T] {
+// folded from it in a fixed order — independent of scatter order. A touched
+// set that is dense in its span is read out of the seen bitmap word by
+// word, which yields the same ascending list without a sort.
+//
+// The entries are appended to the accumulator's per-call output buffers,
+// which the next spmvPush on the same workspace reuses: the list must be
+// consumed before the kernel call that produced it returns.
+func (a pushAcc[T]) take() entryList[T] {
 	var out entryList[T]
-	if len(a.touch) > 0 {
-		sort.Slice(a.touch, func(x, y int) bool { return a.touch[x] < a.touch[y] })
-		out.idx = append([]int32(nil), a.touch...)
-		out.vals = make([]T, len(out.idx))
-		for k, j := range out.idx {
-			out.vals[k] = a.vals[j]
+	if k := len(a.touch); k > 0 {
+		start := len(a.idx)
+		lo, hi := a.touch[0], a.touch[0]
+		for _, j := range a.touch {
+			lo, hi = min(lo, j), max(hi, j)
 		}
+		if int(hi>>6-lo>>6) < scanWords*k {
+			for wi := lo >> 6; wi <= hi>>6; wi++ {
+				for c := a.seen[wi]; c != 0; c &= c - 1 {
+					a.idx = append(a.idx, wi<<6+int32(bits.TrailingZeros64(c)))
+				}
+				a.seen[wi] = 0
+			}
+		} else {
+			a.idx = append(a.idx, a.touch...)
+			slices.Sort(a.idx[start:])
+			for _, j := range a.touch {
+				a.seen[j>>6] = 0
+			}
+		}
+		a.out = a.out[:start]
+		for _, j := range a.idx[start:] {
+			a.out = append(a.out, a.vals[j])
+		}
+		end := len(a.idx)
+		out = entryList[T]{idx: a.idx[start:end:end], vals: a.out[start:end:end]}
 	}
 	a.touch = a.touch[:0]
-	a.gen++
 	return out
 }
 

@@ -29,6 +29,9 @@ func VxM[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], s Sem
 	}
 	u = unalias(w, u)
 	usePull := vxmUsePull(mask, u, A, desc)
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	mv := ws.bind(mask)
 	op := "grb.VxM.push"
 	if usePull {
 		op = "grb.VxM.pull"
@@ -42,12 +45,12 @@ func VxM[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], s Sem
 	var e entryList[T]
 	switch {
 	case inPlace:
-		k = spmvPullDense(ctx, w, mask, accum, desc.Replace, s, u, A, true)
+		k = spmvPullDense(ctx, w, mv, accum, desc.Replace, s, u, A, true)
 	case usePull:
-		e = spmvPull(ctx, mask, s, u, A, true)
+		e = spmvPull(ctx, mv, s, u, A, true)
 		k = len(e.idx)
 	default:
-		e = spmvPush(ctx, mask, s, u, A, true)
+		e = spmvPush(ctx, ws, mv, s, u, A, true)
 		k = len(e.idx)
 	}
 	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
@@ -77,6 +80,9 @@ func MxV[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], s Sem
 	case HintPull:
 		usePush = false
 	}
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	mv := ws.bind(mask)
 	op := "grb.MxV.pull"
 	if usePush {
 		op = "grb.MxV.push"
@@ -90,12 +96,12 @@ func MxV[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], s Sem
 	var e entryList[T]
 	switch {
 	case inPlace:
-		k = spmvPullDense(ctx, w, mask, accum, desc.Replace, s, u, A, false)
+		k = spmvPullDense(ctx, w, mv, accum, desc.Replace, s, u, A, false)
 	case usePush:
-		e = spmvPush(ctx, mask, s, u, A, false)
+		e = spmvPush(ctx, ws, mv, s, u, A, false)
 		k = len(e.idx)
 	default:
-		e = spmvPull(ctx, mask, s, u, A, false)
+		e = spmvPull(ctx, mv, s, u, A, false)
 		k = len(e.idx)
 	}
 	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
@@ -128,33 +134,35 @@ func vxmUsePull[T any](mask *Mask, u *Vector[T], A *Matrix[T], desc Desc) bool {
 // whose contents are extracted, sorted, per block; the block partials are
 // then folded in ascending block order. The add monoid is applied in an
 // order fixed by the blocking, never by the schedule, so float results are
-// bit-identical across executors and worker counts.
-func spmvPush[T any](ctx *Context, mask *Mask, s Semiring[T], u *Vector[T], A *Matrix[T], alongRows bool) entryList[T] {
+// bit-identical across executors and worker counts. The accumulators come
+// from ws, so a call allocates only its output.
+func spmvPush[T any](ctx *Context, ws *workspace, mask *maskView, s Semiring[T], u *Vector[T], A *Matrix[T], alongRows bool) entryList[T] {
 	n := A.ncols
 	if !alongRows {
 		n = A.nrows
 		A.EnsureCSC()
 	}
-	uIdx, uVals := u.Entries()
+	uIdx, uVals := sortedEntries(u)
 	if len(uIdx) == 0 {
 		return entryList[T]{}
 	}
 	c := perfmodel.Get()
-	// Workers lazily allocate one reusable dense accumulator each; partial
-	// results are indexed by block so the merge order below is fixed.
-	accs := make([]*pushAcc[T], ctx.threads())
+	// Workers lazily fill their accumulator slot; partial results are
+	// indexed by block so the merge order below is fixed.
+	accs := ws.pushAccs(ctx.threads())
 	block := ctx.blockFor(len(uIdx))
 	parts := make([]entryList[T], galois.NumBlocks(len(uIdx), block))
 	galois.ForBlocks(ctx.Ex, len(uIdx), block, func(b, lo, hi int, gctx *galois.Ctx) {
-		a := accs[gctx.TID]
-		if a == nil {
-			a = newPushAcc[T](n)
+		m := accs[gctx.TID]
+		if m == nil {
+			m = new(accMarks)
 			//lint:ignore sharedwrite worker-local scratch cache: slot TID is only ever touched by its own worker and never feeds the output (parts is block-indexed)
-			accs[gctx.TID] = a
+			accs[gctx.TID] = m
 		}
+		a := accFor[T](m, n)
 		var work int64
 		for k := lo; k < hi; k++ {
-			i := uIdx[k]
+			i := int(uIdx[k])
 			x := uVals[k]
 			var cols []int32
 			var vals []T
@@ -196,9 +204,13 @@ func spmvPush[T any](ctx *Context, mask *Mask, s Semiring[T], u *Vector[T], A *M
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	// Ordered reduction: fold block partials in ascending block order into a
-	// fresh accumulator. Serial, but over the (small) touched sets only.
-	final := newPushAcc[T](n)
+	// Ordered reduction: fold block partials in ascending block order into
+	// one accumulator, empty again now that every block has taken its
+	// result. Serial, but over the (small) touched sets only.
+	if accs[0] == nil {
+		accs[0] = new(accMarks)
+	}
+	final := accFor[T](accs[0], n)
 	for _, part := range parts {
 		for k, j := range part.idx {
 			final.add(j, part.vals[k], s.Add.Op)
@@ -266,7 +278,7 @@ func pullDot[T any](s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) f
 // spmvPull is the SDOT kernel producing an entry list: per-block output
 // lists stitched in block order. The fused kernels and non-Dense outputs
 // use it.
-func spmvPull[T any](ctx *Context, mask *Mask, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) entryList[T] {
+func spmvPull[T any](ctx *Context, mask *maskView, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) entryList[T] {
 	n := A.ncols
 	if !alongCols {
 		n = A.nrows
@@ -287,7 +299,7 @@ func spmvPull[T any](ctx *Context, mask *Mask, s Semiring[T], u *Vector[T], A *M
 
 // spmvPullDense is the SDOT kernel writing a Dense w in place, returning
 // how many positions it computed.
-func spmvPullDense[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], replace bool, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) int {
+func spmvPullDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryOp[T], replace bool, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) int {
 	dot := pullDot(s, u, A, alongCols)
 	return writeDense(ctx, w, mask, accum, replace, nil, nil, false,
 		func(j int, _, _ T, _, _ bool, gctx *galois.Ctx) (T, bool) { return dot(j, gctx) })

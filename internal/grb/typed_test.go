@@ -185,9 +185,8 @@ func newMxMInputs(c typedCase, r *rand.Rand) mxmInputs {
 }
 
 func (in mxmInputs) run(ctx *Context, s Semiring[int64]) (*Matrix[int64], error) {
-	dot := *ctx
-	dot.Kernel = KernelDot
-	return MxM(&dot, in.mask, s, in.A, in.B)
+	dot := &Context{Ex: ctx.Ex, Block: ctx.Block, Kernel: KernelDot}
+	return MxM(dot, in.mask, s, in.A, in.B)
 }
 
 func checkTypedMxM(ctx *Context, c typedCase, r *rand.Rand) error {

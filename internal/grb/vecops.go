@@ -2,6 +2,7 @@ package grb
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"graphstudy/internal/galois"
@@ -127,27 +128,21 @@ func AssignConstant[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryO
 	// A Dense w is written in place; otherwise the assigned positions are
 	// computed as an entry list, in parallel over fixed blocks of the index
 	// space.
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	mv := ws.bind(mask)
 	inPlace := w.rep == Dense
 	var k int
 	var e entryList[T]
 	if inPlace {
-		k = writeDense(ctx, w, mask, accum, desc.Replace, nil, nil, false,
+		k = writeDense(ctx, w, mv, accum, desc.Replace, nil, nil, false,
 			func(int, T, T, bool, bool, *galois.Ctx) (T, bool) { return value, true })
 	} else {
 		e = blockedEntries(ctx, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
-			if mask != nil && !mask.Complement {
-				mask.pattern.forEachIn(lo, hi, func(i int) {
-					out.idx = append(out.idx, int32(i))
-					out.vals = append(out.vals, value)
-				})
-				return
-			}
-			for i := lo; i < hi; i++ {
-				if mask.allows(i) {
-					out.idx = append(out.idx, int32(i))
-					out.vals = append(out.vals, value)
-				}
-			}
+			mv.forEachIn(lo, hi, w.n, func(i int) {
+				out.idx = append(out.idx, int32(i))
+				out.vals = append(out.vals, value)
+			})
 		})
 		k = len(e.idx)
 	}
@@ -175,19 +170,22 @@ func Apply[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], op 
 	nu := u.NVals()
 	sp.NNZIn = int64(nu)
 	sp.Workers = int64(ctx.threads())
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	mv := ws.bind(mask)
 	inPlace := w.rep == Dense
 	var k int
 	var e entryList[T]
 	if inPlace {
-		k = writeDense(ctx, w, mask, accum, desc.Replace, u, nil, false,
+		k = writeDense(ctx, w, mv, accum, desc.Replace, u, nil, false,
 			func(_ int, x, _ T, _, _ bool, _ *galois.Ctx) (T, bool) { return op(x), true })
 	} else {
 		u = unalias(w, u)
-		uIdx, uVals := u.Entries()
+		uIdx, uVals := sortedEntries(u)
 		e = blockedEntries(ctx, len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			for k := lo; k < hi; k++ {
-				if i := uIdx[k]; mask.allows(i) {
-					out.idx = append(out.idx, int32(i))
+				if i := uIdx[k]; mv.allows(int(i)) {
+					out.idx = append(out.idx, i)
 					out.vals = append(out.vals, op(uVals[k]))
 				}
 			}
@@ -223,9 +221,6 @@ func EWiseAdd[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], 
 	defer sp.End()
 	sp.NNZIn = int64(u.NVals() + v.NVals())
 	sp.Workers = int64(ctx.threads())
-	// Both operands are read densified; a Dense operand is read in place,
-	// and only a sparse one is copied (charged to a grb.Convert span).
-	ud, vd := densified(u), densified(v)
 	union := func(_ int, x, y T, hx, hy bool, _ *galois.Ctx) (T, bool) {
 		switch {
 		case hx && hy:
@@ -235,16 +230,32 @@ func EWiseAdd[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], 
 		}
 		return y, true
 	}
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	mv := ws.bind(mask)
 	inPlace := w.rep == Dense
 	var k int
 	var e entryList[T]
-	if inPlace {
-		k = writeDense(ctx, w, mask, accum, desc.Replace, ud, vd, true, union)
-	} else {
+	switch {
+	case inPlace && mask == nil && accum == nil && !desc.Replace && u != v &&
+		(w == u && v.rep != Dense || w == v && u.rep != Dense):
+		// w = op(w, v) (or op(u, w)): w's entries outside the sparse
+		// operand keep their value, so only the operand's entries are
+		// visited.
+		k = foldSparse(w, u, v, op)
+	case inPlace:
+		// Operands are read in place: a Sorted one through its entries,
+		// a List or Bitmap one through a sorted copy of them.
+		k = writeDense(ctx, w, mv, accum, desc.Replace, u, v, true, union)
+	default:
+		// Both operands are read densified; a Dense operand is read in
+		// place, and only a sparse one is copied (charged to a grb.Convert
+		// span).
+		ud, vd := densified(u), densified(v)
 		e = blockedEntries(ctx, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			for i := lo; i < hi; i++ {
 				up, vp := ud.present.get(i), vd.present.get(i)
-				if !up && !vp || !mask.allows(i) {
+				if !up && !vp || !mv.allows(i) {
 					continue
 				}
 				val, _ := union(i, ud.dense[i], vd.dense[i], up, vp, gctx)
@@ -261,6 +272,33 @@ func EWiseAdd[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], 
 	}
 	commit(&sp, w, inPlace, k, e, accum, desc.Replace)
 	return nil
+}
+
+// foldSparse is EWiseAdd's path for a Dense w that aliases one operand
+// while the other is sparse: it folds the sparse operand's entries into w
+// in place, keeping the operand order of op(u, v), and returns the union
+// count the general path would have computed. Serial: the entries are
+// distinct positions, but presence words are shared between them.
+func foldSparse[T any](w, u, v *Vector[T], op BinaryOp[T]) int {
+	other, wFirst := v, true
+	if w == v {
+		other, wFirst = u, false
+	}
+	for k, ix := range other.idx {
+		i := int(ix)
+		x := other.vals[k]
+		switch {
+		case !w.present.get(i):
+			w.present.set(i)
+			w.ndense++
+			w.dense[i] = x
+		case wFirst:
+			w.dense[i] = op(w.dense[i], x)
+		default:
+			w.dense[i] = op(x, w.dense[i])
+		}
+	}
+	return w.ndense
 }
 
 // EWiseMult implements GrB_eWiseMult: the pattern intersection of u and v.
@@ -282,19 +320,22 @@ func EWiseMult[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T],
 		a, b = b, a
 	}
 	na := a.NVals()
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	mv := ws.bind(mask)
 	var k int
 	var e entryList[T]
 	if inPlace {
-		k = writeDense(ctx, w, mask, accum, desc.Replace, u, v, false,
+		k = writeDense(ctx, w, mv, accum, desc.Replace, u, v, false,
 			func(_ int, x, y T, _, _ bool, _ *galois.Ctx) (T, bool) { return op(x, y), true })
 	} else {
 		swapped := a != u
-		aIdx, aVals := a.Entries()
+		aIdx, aVals := sortedEntries(a)
 		e = blockedEntries(ctx, len(aIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			for k := lo; k < hi; k++ {
-				i := aIdx[k]
+				i := int(aIdx[k])
 				bv, ok := b.ExtractElement(i)
-				if !ok || !mask.allows(i) {
+				if !ok || !mv.allows(i) {
 					continue
 				}
 				var val T
@@ -329,19 +370,39 @@ func SelectVector[T any](ctx *Context, w *Vector[T], mask *Mask, pred IndexedPre
 	nu := u.NVals()
 	sp.NNZIn = int64(nu)
 	sp.Workers = int64(ctx.threads())
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	mv := ws.bind(mask)
 	inPlace := w.rep == Dense
 	var k int
 	var e entryList[T]
-	if inPlace {
-		k = writeDense(ctx, w, mask, nil, desc.Replace, u, nil, false,
+	switch {
+	case inPlace:
+		k = writeDense(ctx, w, mv, nil, desc.Replace, u, nil, false,
 			func(i int, x, _ T, _, _ bool, _ *galois.Ctx) (T, bool) { return x, pred(x, i, 0) })
-	} else {
+	case u.rep == Dense:
+		// Read u's presence words in place, a block of words at a time,
+		// rather than copying its entries out first.
+		e = blockedWords(ctx, u.n, func(wlo, whi int, out *entryList[T]) {
+			for wi := wlo; wi < whi; wi++ {
+				base := wi << 6
+				for c := u.present[wi] & mv.word(wi, u.n); c != 0; c &= c - 1 {
+					i := base + bits.TrailingZeros64(c)
+					if x := u.dense[i]; pred(x, i, 0) {
+						out.idx = append(out.idx, int32(i))
+						out.vals = append(out.vals, x)
+					}
+				}
+			}
+		})
+		k = len(e.idx)
+	default:
 		u = unalias(w, u)
-		uIdx, uVals := u.Entries()
+		uIdx, uVals := sortedEntries(u)
 		e = blockedEntries(ctx, len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			for k := lo; k < hi; k++ {
-				i := uIdx[k]
-				if pred(uVals[k], i, 0) && mask.allows(i) {
+				i := int(uIdx[k])
+				if pred(uVals[k], i, 0) && mv.allows(i) {
 					out.idx = append(out.idx, int32(i))
 					out.vals = append(out.vals, uVals[k])
 				}

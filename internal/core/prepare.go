@@ -67,13 +67,12 @@ func (l *lazy[T]) get(p *Prepared, f form, build func() T) T {
 	return l.v
 }
 
-// Sym is the pattern of the undirected closure of G, sorted, with in-edges
-// (cc, tc and ktruss on LS, and the symmetric matrix forms). It carries no
-// weights, since none of its consumers reads one. Its in-edges share the
-// out-edge arrays: the CSC of a sorted symmetric graph is its CSR.
+// Sym is the undirected closure of G, sorted, unweighted, with in-edges
+// (cc, tc and ktruss on LS, and the symmetric matrix forms). Its in-edges
+// share the out-edge arrays: the CSC of a sorted symmetric graph is its CSR.
 func (p *Prepared) Sym() *graph.Graph {
 	return p.sym.get(p, fSym, func() *graph.Graph {
-		sym := p.G.SymmetrizePattern()
+		sym := p.G.Symmetrize()
 		sym.AliasIn()
 		return sym
 	})

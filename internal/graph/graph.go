@@ -267,54 +267,36 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	return i < len(adj) && adj[i] == v
 }
 
-// Symmetrize returns the undirected closure of g: for every edge (u,v) the
-// result contains both (u,v) and (v,u), with duplicates removed and
-// self-loops dropped. Weights are carried over (minimum wins on duplicates).
-// Adjacency lists of the result are sorted.
+// Symmetrize returns the pattern of the undirected closure of g: for every
+// edge (u,v) the result contains both (u,v) and (v,u), with duplicates
+// removed and self-loops dropped. The result carries no weights, since no
+// consumer of a closure reads one. Adjacency lists of the result are sorted.
 //
 // When g has in-edges and every out- and in-edge list is sorted (prepared
 // inputs and registry snapshots qualify), the closure of u is a two-way
 // merge of OutEdges(u) and InEdges(u), built in two passes into exactly
 // sized arrays. Otherwise it goes through a Builder, with a sort per row.
 // Both give the same arrays.
-func (g *Graph) Symmetrize() *Graph { return g.symmetrize(g.Wt != nil) }
-
-// SymmetrizePattern is Symmetrize without weights: the closure's pattern,
-// for consumers that read no weight.
-func (g *Graph) SymmetrizePattern() *Graph { return g.symmetrize(false) }
-
-// symmetrize builds the closure, carrying weights when weighted is set
-// (g must then be weighted).
-func (g *Graph) symmetrize(weighted bool) *Graph {
+func (g *Graph) Symmetrize() *Graph {
 	if !g.mergeable() {
-		return g.symmetrizeBuild(weighted)
+		return g.symmetrizeBuild()
 	}
 	n := g.NumNodes
 	rowPtr := make([]uint64, n+1)
 	for u := uint32(0); u < n; u++ {
-		rowPtr[u+1] = rowPtr[u] + uint64(g.symRow(u, nil, nil))
+		rowPtr[u+1] = rowPtr[u] + uint64(g.symRow(u, nil))
 	}
-	m := rowPtr[n]
-	out := &Graph{NumNodes: n, RowPtr: rowPtr, ColIdx: make([]uint32, m)}
-	if weighted {
-		out.Wt = make([]uint32, m)
-	}
+	out := &Graph{NumNodes: n, RowPtr: rowPtr, ColIdx: make([]uint32, rowPtr[n])}
 	for u := uint32(0); u < n; u++ {
-		lo, hi := rowPtr[u], rowPtr[u+1]
-		var wt []uint32
-		if out.Wt != nil {
-			wt = out.Wt[lo:hi]
-		}
-		g.symRow(u, out.ColIdx[lo:hi], wt)
+		g.symRow(u, out.ColIdx[rowPtr[u]:rowPtr[u+1]])
 	}
 	return out
 }
 
 // mergeable reports whether Symmetrize may merge each node's sorted out-
-// and in-edge lists: in-edges are built, carry weights exactly when the
-// out-edges do, and every list is sorted.
+// and in-edge lists: in-edges are built and every list is sorted.
 func (g *Graph) mergeable() bool {
-	if !g.HasIn() || (g.Wt == nil) != (g.InWt == nil) {
+	if !g.HasIn() {
 		return false
 	}
 	for u := uint32(0); u < g.NumNodes; u++ {
@@ -326,38 +308,24 @@ func (g *Graph) mergeable() bool {
 }
 
 // symRow merges u's sorted out- and in-edge lists into u's closure row,
-// dropping u itself and keeping the minimum weight of each neighbor, and
-// returns its length. With col nil it only counts; otherwise it fills col
-// and, when non-nil, wt.
-func (g *Graph) symRow(u uint32, col, wt []uint32) int {
+// dropping u itself and parallel edges, and returns its length. With col
+// nil it only counts; otherwise it fills col.
+func (g *Graph) symRow(u uint32, col []uint32) int {
 	const none = math.MaxUint32 // above every node ID
 	outs, ins := g.OutEdges(u), g.InEdges(u)
-	var outW, inW []uint32
-	if wt != nil {
-		outW, inW = g.OutWeights(u), g.InWeights(u)
-	}
 	k, a, b := 0, 0, 0
 	last := uint32(none)
 	for a < len(outs) || b < len(ins) {
 		x, y := uint32(none), uint32(none)
-		wa, wb := uint32(none), uint32(none)
 		if a < len(outs) {
 			x = outs[a]
-			if wt != nil {
-				wa = outW[a]
-			}
 		}
 		if b < len(ins) {
 			y = ins[b]
-			if wt != nil {
-				wb = inW[b]
-			}
 		}
 		v := min(x, y)
-		// Which list holds v is unpredictable, so both advance, and the
-		// weight is picked, by conditional moves rather than branches: on
-		// BenchmarkSymmetrize/merge this takes about a quarter less time
-		// than a plain three-way merge (EXPERIMENTS.md).
+		// Which list holds v is unpredictable, so both advance by
+		// conditional moves rather than branches (EXPERIMENTS.md).
 		da, db := 0, 0
 		if x == v {
 			da = 1
@@ -365,27 +333,11 @@ func (g *Graph) symRow(u uint32, col, wt []uint32) int {
 		if y == v {
 			db = 1
 		}
-		if x != v {
-			wa = none
-		}
-		if y != v {
-			wb = none
-		}
-		w := min(wa, wb)
 		a += da
 		b += db
-		switch {
-		case v == u:
-		case v == last: // a parallel edge
-			if wt != nil {
-				wt[k-1] = min(wt[k-1], w)
-			}
-		default:
+		if v != u && v != last {
 			if col != nil {
 				col[k] = v
-				if wt != nil {
-					wt[k] = w
-				}
 			}
 			k++
 			last = v
@@ -396,22 +348,15 @@ func (g *Graph) symRow(u uint32, col, wt []uint32) int {
 
 // symmetrizeBuild is Symmetrize through a Builder: every non-loop edge is
 // added in both directions, then rows are sorted and deduplicated.
-func (g *Graph) symmetrizeBuild(weighted bool) *Graph {
-	b := NewBuilder(g.NumNodes, weighted)
+func (g *Graph) symmetrizeBuild() *Graph {
+	b := NewBuilder(g.NumNodes, false)
 	b.Reserve(2 * int(g.NumEdges()))
 	for u := uint32(0); u < g.NumNodes; u++ {
-		lo, hi := g.RowPtr[u], g.RowPtr[u+1]
-		for e := lo; e < hi; e++ {
-			v := g.ColIdx[e]
-			if v == u {
-				continue
+		for _, v := range g.OutEdges(u) {
+			if v != u {
+				b.AddEdge(u, v, 0)
+				b.AddEdge(v, u, 0)
 			}
-			w := uint32(0)
-			if weighted {
-				w = g.Wt[e]
-			}
-			b.AddEdge(u, v, w)
-			b.AddEdge(v, u, w)
 		}
 	}
 	return b.BuildDedup(MinWeight)

@@ -9,7 +9,7 @@ import (
 
 // Symmetrize's merge path must give the arrays its Builder path
 // (symmetrizeBuild, the fallback for inputs without sorted in-edges) gives,
-// array for array: row pointers, neighbors, weights, and nil-ness.
+// array for array: row pointers, neighbors, and nil-ness.
 
 // rawGraph builds g from edges through Build, keeping self loops, parallel
 // edges and insertion order; sorted additionally sorts rows and builds the
@@ -34,18 +34,12 @@ func checkSymmetrize(t *testing.T, name string, g *Graph, wantMerge bool) {
 	if got := g.mergeable(); got != wantMerge {
 		t.Fatalf("%s: mergeable = %v, want %v", name, got, wantMerge)
 	}
-	got, want := g.Symmetrize(), g.symmetrizeBuild(g.Wt != nil)
+	got, want := g.Symmetrize(), g.symmetrizeBuild()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Symmetrize =\n%+v\nwant\n%+v", name, got, want)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
-	}
-	// The pattern closure is the closure with its weights dropped.
-	pat := g.SymmetrizePattern()
-	want.Wt = nil
-	if !reflect.DeepEqual(pat, want) {
-		t.Fatalf("%s: SymmetrizePattern =\n%+v\nwant\n%+v", name, pat, want)
 	}
 }
 
@@ -106,26 +100,24 @@ func FuzzSymmetrize(f *testing.F) {
 // AliasIn gives the in-edges BuildIn would, and SizeBytes counts the shared
 // arrays once.
 func TestAliasInMatchesBuildIn(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		g := rawGraph(6, weighted, true, [][3]uint32{
-			{0, 1, 4}, {1, 0, 2}, {0, 5, 1}, {3, 3, 7}, {4, 2, 9}, {2, 4, 3}, {4, 2, 6},
-		})
-		sym := g.Symmetrize()
-		fresh := *sym
-		fresh.InRowPtr, fresh.InColIdx, fresh.InWt = nil, nil, nil
-		fresh.BuildIn()
-		sym.AliasIn()
-		if !reflect.DeepEqual(sym.InRowPtr, fresh.InRowPtr) || !reflect.DeepEqual(sym.InColIdx, fresh.InColIdx) ||
-			!reflect.DeepEqual(sym.InWt, fresh.InWt) {
-			t.Fatalf("weighted=%v: aliased in-edges differ from BuildIn", weighted)
-		}
-		distinct := uint64(len(sym.RowPtr))*8 + uint64(len(sym.ColIdx))*4 + uint64(len(sym.Wt))*4
-		if got := sym.SizeBytes(); got != distinct {
-			t.Fatalf("weighted=%v: aliased SizeBytes = %d, want %d", weighted, got, distinct)
-		}
-		if got, want := fresh.SizeBytes(), 2*distinct; got != want {
-			t.Fatalf("weighted=%v: copied SizeBytes = %d, want %d", weighted, got, want)
-		}
+	g := rawGraph(6, true, true, [][3]uint32{
+		{0, 1, 4}, {1, 0, 2}, {0, 5, 1}, {3, 3, 7}, {4, 2, 9}, {2, 4, 3}, {4, 2, 6},
+	})
+	sym := g.Symmetrize()
+	fresh := *sym
+	fresh.InRowPtr, fresh.InColIdx, fresh.InWt = nil, nil, nil
+	fresh.BuildIn()
+	sym.AliasIn()
+	if !reflect.DeepEqual(sym.InRowPtr, fresh.InRowPtr) || !reflect.DeepEqual(sym.InColIdx, fresh.InColIdx) ||
+		!reflect.DeepEqual(sym.InWt, fresh.InWt) {
+		t.Fatal("aliased in-edges differ from BuildIn")
+	}
+	distinct := uint64(len(sym.RowPtr))*8 + uint64(len(sym.ColIdx))*4
+	if got := sym.SizeBytes(); got != distinct {
+		t.Fatalf("aliased SizeBytes = %d, want %d", got, distinct)
+	}
+	if got, want := fresh.SizeBytes(), 2*distinct; got != want {
+		t.Fatalf("copied SizeBytes = %d, want %d", got, want)
 	}
 }
 
@@ -156,7 +148,7 @@ func BenchmarkSymmetrize(b *testing.B) {
 	for _, path := range []struct {
 		name string
 		sym  func() *Graph
-	}{{"merge", g.Symmetrize}, {"builder", func() *Graph { return g.symmetrizeBuild(true) }}} {
+	}{{"merge", g.Symmetrize}, {"builder", g.symmetrizeBuild}} {
 		b.Run(path.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

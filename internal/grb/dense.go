@@ -152,7 +152,8 @@ func writeDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryO
 		words = mask.words
 		nw, block = len(words), ctx.blockFor(len(words))
 	}
-	var computed, grown atomic.Int64
+	// One struct, so the closure's capture is a single allocation.
+	var tally struct{ computed, grown atomic.Int64 }
 	galois.ForBlocks(ctx.Ex, nw, block, func(_, lo, hi int, gctx *galois.Ctx) {
 		bu, bv := ru, rv
 		if words == nil {
@@ -209,11 +210,11 @@ func writeDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryO
 			w.present[wi] = p
 			d += bits.OnesCount64(p) - bits.OnesCount64(old)
 		}
-		computed.Add(int64(k))
-		grown.Add(int64(d))
+		tally.computed.Add(int64(k))
+		tally.grown.Add(int64(d))
 	})
-	w.ndense += int(grown.Load())
-	return int(computed.Load())
+	w.ndense += int(tally.grown.Load())
+	return int(tally.computed.Load())
 }
 
 // commit finishes a kernel that computed k entries: it tags sp with them,

@@ -278,6 +278,15 @@ func TestMxVAgainstVxMOnSymmetric(t *testing.T) {
 	// On a symmetric matrix with a commutative semiring, MxV == VxM.
 	g := gen.Random(40, 300, true, 9, 77).Symmetrize()
 	g.SortAdjacency()
+	// The closure is a pattern; give each edge a weight that depends only
+	// on its unordered endpoints, so the weighted matrix is symmetric too.
+	g.Wt = make([]uint32, len(g.ColIdx))
+	for u := uint32(0); u < g.NumNodes; u++ {
+		for e := g.RowPtr[u]; e < g.RowPtr[u+1]; e++ {
+			v := g.ColIdx[e]
+			g.Wt[e] = (7*min(u, v)+13*max(u, v))%50 + 1
+		}
+	}
 	A := WeightMatrixFromGraph(g)
 	ctx := NewGaloisBLASContext(4)
 	u := NewVector[uint32](int(g.NumNodes), Dense)

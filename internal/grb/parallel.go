@@ -138,10 +138,11 @@ func (a pushAcc[T]) add(j int32, p T, addOp BinaryOp[T]) {
 }
 
 // scanWords bounds when take reads the touched set out of the seen bitmap
-// instead of sorting it: when the bitmap words spanned by the touched
-// positions number fewer than scanWords per position, the scan is cheaper
-// than the sort.
-const scanWords = 16
+// instead of sorting it: the scan when the bitmap words spanned by the
+// touched positions number fewer than scanWords per position. On
+// BenchmarkPushAccTake the scan stops paying between 4 and 6 words per
+// entry for 32 entries and between 8 and 12 for 512 (EXPERIMENTS.md).
+const scanWords = 8
 
 // take extracts the accumulated entries sorted by index and resets the
 // accumulator for reuse. Sorting makes the extracted list — and anything

@@ -107,3 +107,34 @@ func TestPushAccSharedAcrossTypes(t *testing.T) {
 		ctx.release(shared)
 	}
 }
+
+// BenchmarkPushAccTake times one block's adds and take for k touched
+// positions spread at random over a span of words-per-entry × k bitmap
+// words, the ratio take compares with scanWords. Each op costs the same k
+// adds on either read-out path, so the path's share is the difference
+// between two builds with scanWords set to 0 (always sort) and to a huge
+// value (always scan); EXPERIMENTS.md records where they cross.
+func BenchmarkPushAccTake(b *testing.B) {
+	plus := func(x, y float64) float64 { return x + y }
+	for _, k := range []int{32, 512} {
+		for _, ratio := range []int{1, 4, 6, 8, 12, 16, 64} {
+			span := ratio * k * 64
+			r := rand.New(rand.NewSource(int64(k * ratio)))
+			pos := make([]int32, k)
+			for i, j := range r.Perm(span)[:k] {
+				pos[i] = int32(j)
+			}
+			m := new(accMarks)
+			b.Run(fmt.Sprintf("k=%d/words-per-entry=%d", k, ratio), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					m.idx = m.idx[:0]
+					a := accFor[float64](m, span)
+					for _, j := range pos {
+						a.add(j, 1, plus)
+					}
+					a.take()
+				}
+			})
+		}
+	}
+}

@@ -36,7 +36,8 @@ race:
 # the typed-vs-generic semiring kernel benchmark. The grb suite includes
 # the workspace reuse tests (push accumulators across calls, element types
 # and generation wraparound); the lagraph allocation gate pins what one
-# eager bfs, sssp, pr and cc round allocates at one worker.
+# eager bfs, fused bfs, sssp, pr, cc and ktruss round allocates at one
+# worker.
 # The adapt suite sweeps no worker counts, so it registers no -grb.workers
 # flag and runs without it.
 test-parallel:
@@ -56,9 +57,11 @@ test-determinism:
 # merge checked against a full rebuild, the in-place Dense kernels checked
 # against the entry-list path, mask views checked against materialized
 # bitmap masks, the typed semiring loops checked against the generic loop,
-# and the merge-built symmetric closure checked against the Builder path. Go allows one fuzz target per
-# invocation, so each runs separately; 30s apiece keeps this CI-sized while
-# still exercising the mutator beyond the seed corpus.
+# the merge-built symmetric closure checked against the Builder path, and
+# delta-support ktruss checked round by round against the full recompute.
+# Go allows one fuzz target per invocation, so each runs separately; 30s
+# apiece keeps this CI-sized while still exercising the mutator beyond the
+# seed corpus.
 FUZZTIME ?= 30s
 
 fuzz-smoke:
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMaskViews$$' -fuzztime $(FUZZTIME) ./internal/grb/
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiringKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
 	$(GO) test -run '^$$' -fuzz '^FuzzSymmetrize$$' -fuzztime $(FUZZTIME) ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzKTruss$$' -fuzztime $(FUZZTIME) ./internal/lagraph/
 
 # The vet gate is pinned to an explicit analyzer list so a toolchain
 # change can never silently drop a check this repo relies on (copylocks
@@ -132,7 +136,7 @@ check: build vet lint
 # columns get a 10x + 1s floor so CI noise cannot trip them.
 # bench-baseline rewrites the committed baseline — run it (and commit the
 # diff) when a change legitimately moves the numbers.
-BENCH_BASELINE ?= BENCH_10.json
+BENCH_BASELINE ?= BENCH_11.json
 BENCH_FRESH ?= BENCH_fresh.json
 BENCH_SCENARIO ?= smoke
 

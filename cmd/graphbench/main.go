@@ -8,7 +8,7 @@
 //	graphbench run -scenario steady -url http://127.0.0.1:8080 -record session.jsonl
 //	graphbench replay -session session.jsonl -self -pace 2
 //	graphbench plan -scenario smoke -o session.jsonl
-//	graphbench gate -baseline BENCH_10.json -fresh BENCH_fresh.json
+//	graphbench gate -baseline BENCH_11.json -fresh BENCH_fresh.json
 //	graphbench scenarios
 //
 // `run` expands a scenario (a preset name or a JSON file) into its

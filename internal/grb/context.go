@@ -94,7 +94,9 @@ func (c *Context) threads() int { return c.Ex.Threads() }
 type workspace struct {
 	accs []*accMarks
 	// scratch holds the bitmap of the Sorted/List mask bound to the current
-	// call; words lists the words spread set, which release clears.
+	// call; words lists the words spread set, which release clears. The
+	// fused bfs kernel marks its next frontier in it instead, and clears
+	// it itself. It is all zero between calls.
 	scratch bitmap
 	words   []int32
 	mv      maskView

@@ -1,7 +1,10 @@
 package grb
 
 import (
+	"math/bits"
+
 	"graphstudy/internal/galois"
+	"graphstudy/internal/perfmodel"
 	"graphstudy/internal/trace"
 )
 
@@ -82,7 +85,14 @@ func FusedAssignExpand[T comparable](ctx *Context, dist *Vector[T], level T, fro
 	defer sp.End()
 	sp.Workers = int64(ctx.threads())
 
-	fIdx, _ := frontier.Entries() // ascending copies; frontier itself is rewritten below
+	// A Sorted or List frontier is read in place: its entries are distinct,
+	// neither phase depends on their order, and it is rewritten only after
+	// both. Dense and Bitmap frontiers are read through a sorted copy.
+	inPlace := frontier.rep == Sorted || frontier.rep == List
+	fIdx := frontier.idx
+	if !inPlace {
+		fIdx, _ = sortedEntries(frontier)
+	}
 	nf := len(fIdx)
 	sp.NNZIn = int64(nf)
 	stats.NNZIn = int64(nf)
@@ -102,12 +112,20 @@ func FusedAssignExpand[T comparable](ctx *Context, dist *Vector[T], level T, fro
 	// is visible; dist is read-only from here, exactly like the eager VxM
 	// reading a mask built after the assign completed. Each admitted
 	// neighbour sets its bit in a word-atomic bitmap, so duplicate
-	// discoveries collapse as they happen.
-	next := newBitmap(A.ncols)
+	// discoveries collapse as they happen. The bitmap is the run's
+	// workspace scratch, all zero between calls: the read-out below clears
+	// every word it visits.
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	nw := (A.ncols + 63) >> 6
+	if len(ws.scratch) < nw {
+		ws.scratch = newBitmap(A.ncols)
+	}
+	next := ws.scratch[:nw]
 	galois.ForBlocks(ctx.Ex, nf, block, func(b, lo, hi int, gctx *galois.Ctx) {
 		var work int64
 		for k := lo; k < hi; k++ {
-			cols, _ := A.Row(fIdx[k])
+			cols, _ := A.Row(int(fIdx[k]))
 			work += int64(len(cols))
 			for _, j := range cols {
 				if dist.dense[j] == zero {
@@ -118,13 +136,24 @@ func FusedAssignExpand[T comparable](ctx *Context, dist *Vector[T], level T, fro
 		gctx.Work(work)
 	})
 	// Read the next frontier out in index order: the sorted deduplicated
-	// set the eager push accumulator produces.
-	m := next.count()
-	e := entryList[bool]{idx: make([]int32, 0, m), vals: make([]bool, m)}
-	next.forEach(func(i int) { e.idx = append(e.idx, int32(i)) })
-	for k := range e.vals {
-		e.vals[k] = true
+	// set the eager push accumulator produces, so valid for a Sorted or a
+	// List frontier, which take it into their own arrays; the others go
+	// through an entry list.
+	e := entryList[bool]{}
+	if inPlace {
+		e.idx, e.vals = frontier.idx[:0], frontier.vals[:0]
 	}
+	for wi, w := range next {
+		if w == 0 {
+			continue
+		}
+		next[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			e.idx = append(e.idx, int32(wi<<6+bits.TrailingZeros64(w)))
+			e.vals = append(e.vals, true)
+		}
+	}
+	m := len(e.idx)
 
 	sp.NNZOut = int64(m)
 	sp.Bytes = entryBytes[bool](m)
@@ -133,7 +162,16 @@ func FusedAssignExpand[T comparable](ctx *Context, dist *Vector[T], level T, fro
 	// complemented value mask of dist (one bitmap each), the assign's entry
 	// list over the frontier, and VxM's alias snapshot of the frontier.
 	stats.Elided = 2*bitmapBytes(n) + entryBytes[T](nf) + entryBytes[bool](nf)
-	mergeIntoVector(frontier, e, nil, true)
+	if inPlace {
+		frontier.idx, frontier.vals = e.idx, e.vals
+		if c := perfmodel.Get(); c != nil {
+			c.StoreRange(frontier.slot, perfmodel.KVecIdx, 0, m, 4)
+			c.StoreRange(frontier.slot, perfmodel.KVecVals, 0, m, 8)
+			c.Instr(m)
+		}
+	} else {
+		mergeIntoVector(frontier, e, nil, true)
+	}
 	return stats, true, nil
 }
 

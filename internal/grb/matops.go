@@ -2,180 +2,128 @@ package grb
 
 import (
 	"fmt"
-	"sort"
+	"sync/atomic"
 
 	"graphstudy/internal/galois"
+	"graphstudy/internal/perfmodel"
+	"graphstudy/internal/trace"
 )
 
-// MatrixApply returns op applied to every explicit entry of a
-// (GrB_apply for matrices).
-func MatrixApply[T any](ctx *Context, op UnaryOp[T], a *Matrix[T]) *Matrix[T] {
-	out := a.Dup()
-	ctx.Ex.ForRange(len(out.vals), 0, func(lo, hi int, gctx *galois.Ctx) {
-		for e := lo; e < hi; e++ {
-			out.vals[e] = op(out.vals[e])
-		}
-	})
-	return out
-}
-
-// EWiseAddMatrix returns the pattern-union combination of a and b
-// (GrB_eWiseAdd for matrices): positions in both get op(a, b), positions in
-// exactly one keep that operand's value.
-func EWiseAddMatrix[T any](ctx *Context, op BinaryOp[T], a, b *Matrix[T]) (*Matrix[T], error) {
+// FoldMatrix folds b into a in place: a(i,j) = op(a(i,j), b(i,j)) for every
+// explicit b(i,j), and a's other entries keep their value (GrB_eWiseAdd
+// with a as both the output and the first operand). b's pattern must be a
+// subset of a's, so a's pattern does not change and nothing is allocated:
+// the matrix analogue of EWiseAdd's sparse fold into a Dense vector. Rows
+// merge independently, each against its own row of a. a must not carry a
+// CSC mirror, which the fold would leave stale. An entry of b outside a's
+// pattern is reported as an error, with a left partly folded.
+func FoldMatrix[T any](ctx *Context, op BinaryOp[T], a, b *Matrix[T]) error {
 	if a.nrows != b.nrows || a.ncols != b.ncols {
-		return nil, fmt.Errorf("grb: EWiseAddMatrix dimensions %dx%d vs %dx%d", a.nrows, a.ncols, b.nrows, b.ncols)
+		return fmt.Errorf("grb: FoldMatrix dimensions %dx%d vs %dx%d", a.nrows, a.ncols, b.nrows, b.ncols)
 	}
-	return ewiseMatrix(ctx, op, a, b, true), nil
-}
-
-// EWiseMultMatrix returns the pattern-intersection combination of a and b
-// (GrB_eWiseMult for matrices).
-func EWiseMultMatrix[T any](ctx *Context, op BinaryOp[T], a, b *Matrix[T]) (*Matrix[T], error) {
-	if a.nrows != b.nrows || a.ncols != b.ncols {
-		return nil, fmt.Errorf("grb: EWiseMultMatrix dimensions %dx%d vs %dx%d", a.nrows, a.ncols, b.nrows, b.ncols)
+	if a.HasCSC() {
+		return fmt.Errorf("grb: FoldMatrix into a matrix with a CSC mirror")
 	}
-	return ewiseMatrix(ctx, op, a, b, false), nil
-}
-
-// ewiseMatrix merges rows of two CSR matrices (both sorted by column).
-func ewiseMatrix[T any](ctx *Context, op BinaryOp[T], a, b *Matrix[T], union bool) *Matrix[T] {
-	rows := make([]rowResult[T], a.nrows)
-	ctx.Ex.ForRange(a.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
+	sp := trace.Begin(trace.CatKernel, "grb.FoldMatrix")
+	defer sp.End()
+	sp.NNZIn = b.NVals()
+	sp.NNZOut = b.NVals() // the entries of a it rewrote
+	sp.Workers = int64(ctx.threads())
+	var outside atomic.Bool
+	ctx.Ex.ForRange(b.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
 		var work int64
 		for i := lo; i < hi; i++ {
-			aCols, aVals := a.Row(i)
 			bCols, bVals := b.Row(i)
-			work += int64(len(aCols) + len(bCols))
-			if len(aCols) == 0 && len(bCols) == 0 {
+			if len(bCols) == 0 {
 				continue
 			}
-			var cols []int32
-			var vals []T
-			x, y := 0, 0
-			for x < len(aCols) && y < len(bCols) {
-				switch {
-				case aCols[x] < bCols[y]:
-					if union {
-						cols = append(cols, aCols[x])
-						vals = append(vals, aVals[x])
-					}
-					x++
-				case aCols[x] > bCols[y]:
-					if union {
-						cols = append(cols, bCols[y])
-						vals = append(vals, bVals[y])
-					}
-					y++
-				default:
-					cols = append(cols, aCols[x])
-					vals = append(vals, op(aVals[x], bVals[y]))
-					x++
-					y++
+			e, end := a.rowPtr[i], a.rowPtr[i+1]
+			for x, j := range bCols {
+				for e < end && a.colIdx[e] < j {
+					e++
 				}
+				if e == end || a.colIdx[e] != j {
+					outside.Store(true)
+					break
+				}
+				a.vals[e] = op(a.vals[e], bVals[x])
+				e++
 			}
-			if union {
-				for ; x < len(aCols); x++ {
-					cols = append(cols, aCols[x])
-					vals = append(vals, aVals[x])
-				}
-				for ; y < len(bCols); y++ {
-					cols = append(cols, bCols[y])
-					vals = append(vals, bVals[y])
-				}
-			}
-			rows[i] = rowResult[T]{cols: cols, vals: vals}
+			work += e - a.rowPtr[i]
 		}
 		gctx.Work(work)
 	})
-	return assemble(ctx, a.nrows, a.ncols, rows)
+	if c := perfmodel.Get(); c != nil {
+		m := int(b.NVals())
+		c.LoadRange(b.slot, perfmodel.KColIdx, 0, m, 4)
+		c.LoadRange(b.slot, perfmodel.KVals, 0, m, 8)
+		c.StoreRange(a.slot, perfmodel.KVals, 0, m, 8)
+		c.Instr(m)
+	}
+	if outside.Load() {
+		return fmt.Errorf("grb: FoldMatrix operand has an entry outside the output's pattern")
+	}
+	return nil
 }
 
-// ExtractSubvector returns w = u(indices): w has dimension len(indices) and
-// w(k) = u(indices[k]) for explicit entries (GrB_extract for vectors).
-func ExtractSubvector[T any](ctx *Context, u *Vector[T], indices []int) (*Vector[T], error) {
-	for _, ix := range indices {
-		if ix < 0 || ix >= u.n {
-			return nil, fmt.Errorf("grb: ExtractSubvector index %d out of range [0,%d)", ix, u.n)
-		}
+// PatternMinus returns m's entries at the positions p lacks: m<!p> under a
+// complemented structural mask, with m's values. Each row is a merge of
+// m's row against p's, so the cost is one pass over both patterns. ktruss
+// takes the edges a round removed as S_old minus S_new's pattern.
+func PatternMinus[T any](ctx *Context, m *Matrix[T], p *Pattern) (*Matrix[T], error) {
+	if p.nrows != m.nrows || p.ncols != m.ncols {
+		return nil, fmt.Errorf("grb: PatternMinus mask is %dx%d, want %dx%d", p.nrows, p.ncols, m.nrows, m.ncols)
 	}
-	w := NewVector[T](len(indices), Sorted)
-	for k, ix := range indices {
-		if val, ok := u.ExtractElement(ix); ok {
-			w.SetElement(k, val)
-		}
-	}
-	return w, nil
-}
-
-// ExtractSubmatrix returns a(rows, cols) (GrB_extract for matrices): the
-// submatrix selecting the given rows and columns, renumbered densely.
-func ExtractSubmatrix[T any](ctx *Context, a *Matrix[T], rowIdx, colIdx []int) (*Matrix[T], error) {
-	for _, r := range rowIdx {
-		if r < 0 || r >= a.nrows {
-			return nil, fmt.Errorf("grb: ExtractSubmatrix row %d out of range", r)
-		}
-	}
-	colMap := make(map[int32]int32, len(colIdx))
-	for k, c := range colIdx {
-		if c < 0 || c >= a.ncols {
-			return nil, fmt.Errorf("grb: ExtractSubmatrix col %d out of range", c)
-		}
-		colMap[int32(c)] = int32(k)
-	}
-	rows := make([]rowResult[T], len(rowIdx))
-	for k, r := range rowIdx {
-		cols, vals := a.Row(r)
-		var outCols []int32
-		var outVals []T
-		for e, c := range cols {
-			if nc, ok := colMap[c]; ok {
-				outCols = append(outCols, nc)
-				outVals = append(outVals, vals[e])
-			}
-		}
-		sortEntries(outCols, outVals)
-		rows[k] = rowResult[T]{cols: outCols, vals: outVals}
-	}
-	return assemble(ctx, len(rowIdx), len(colIdx), rows), nil
-}
-
-// Kronecker returns the Kronecker product a ⊗ b under the semiring's
-// multiply (GrB_kronecker) — the GraphBLAS generator behind RMAT-style
-// graphs, included to round out the API.
-func Kronecker[T any](ctx *Context, s Semiring[T], a, b *Matrix[T]) *Matrix[T] {
-	nrows := a.nrows * b.nrows
-	ncols := a.ncols * b.ncols
-	rows := make([]rowResult[T], nrows)
-	ctx.Ex.ForRange(a.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
-		var work int64
+	sp := trace.Begin(trace.CatKernel, "grb.PatternMinus")
+	defer sp.End()
+	sp.NNZIn = m.NVals()
+	sp.Workers = int64(ctx.threads())
+	// Both passes merge row i of m against row i of p; the first counts
+	// the entries p lacks, the second copies them.
+	rowPtr := make([]int64, m.nrows+1)
+	ctx.Ex.ForRange(m.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
 		for i := lo; i < hi; i++ {
-			aCols, aVals := a.Row(i)
-			if len(aCols) == 0 {
-				continue
+			q, qEnd := p.rowPtr[i], p.rowPtr[i+1]
+			var n int64
+			for _, j := range m.colIdx[m.rowPtr[i]:m.rowPtr[i+1]] {
+				for q < qEnd && p.colIdx[q] < j {
+					q++
+				}
+				if q == qEnd || p.colIdx[q] != j {
+					n++
+				}
 			}
-			for bi := 0; bi < b.nrows; bi++ {
-				bCols, bVals := b.Row(bi)
-				if len(bCols) == 0 {
-					continue
+			rowPtr[i+1] = n
+		}
+		gctx.Work(m.rowPtr[hi] - m.rowPtr[lo])
+	})
+	for i := 0; i < m.nrows; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	nnz := rowPtr[m.nrows]
+	colIdx := make([]int32, nnz)
+	vals := make([]T, nnz)
+	ctx.Ex.ForRange(m.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
+		for i := lo; i < hi; i++ {
+			q, qEnd := p.rowPtr[i], p.rowPtr[i+1]
+			o := rowPtr[i]
+			for e := m.rowPtr[i]; e < m.rowPtr[i+1]; e++ {
+				j := m.colIdx[e]
+				for q < qEnd && p.colIdx[q] < j {
+					q++
 				}
-				work += int64(len(aCols) * len(bCols))
-				outRow := i*b.nrows + bi
-				cols := make([]int32, 0, len(aCols)*len(bCols))
-				vals := make([]T, 0, len(aCols)*len(bCols))
-				for e, ac := range aCols {
-					for e2, bc := range bCols {
-						cols = append(cols, ac*int32(b.ncols)+bc)
-						vals = append(vals, s.Mul(aVals[e], bVals[e2]))
-					}
+				if q == qEnd || p.colIdx[q] != j {
+					colIdx[o] = j
+					vals[o] = m.vals[e]
+					o++
 				}
-				if !sort.SliceIsSorted(cols, func(x, y int) bool { return cols[x] < cols[y] }) {
-					sortEntries(cols, vals)
-				}
-				rows[outRow] = rowResult[T]{cols: cols, vals: vals}
 			}
 		}
-		gctx.Work(work)
+		gctx.Work(m.rowPtr[hi] - m.rowPtr[lo])
 	})
-	return assemble(ctx, nrows, ncols, rows)
+	out := NewMatrixFromCSR(m.nrows, m.ncols, rowPtr, colIdx, vals)
+	sp.NNZOut = nnz
+	sp.Bytes = nnz*(4+elemBytes[T]()) + int64(m.nrows+1)*8
+	traceMatrixPass(m, out)
+	return out, nil
 }

@@ -1,161 +1,115 @@
 package grb
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"graphstudy/internal/gen"
 )
 
-func TestMatrixApply(t *testing.T) {
-	m := build4(t)
-	out := MatrixApply(NewSerialContext(), func(v int64) int64 { return v * 10 }, m)
-	if v, _ := out.ExtractElement(2, 3); v != 50 {
-		t.Fatalf("applied value = %d", v)
-	}
-	if v, _ := m.ExtractElement(2, 3); v != 5 {
-		t.Fatal("apply mutated input")
-	}
-}
-
-func TestEWiseMatrixUnionIntersection(t *testing.T) {
+func TestFoldMatrix(t *testing.T) {
 	ctx := NewSerialContext()
-	a, _ := BuildMatrix(2, 3, []int{0, 0, 1}, []int{0, 1, 2}, []int64{1, 2, 3}, nil)
-	b, _ := BuildMatrix(2, 3, []int{0, 1, 1}, []int{1, 0, 2}, []int64{10, 20, 30}, nil)
-	plus := func(x, y int64) int64 { return x + y }
-
-	sum, err := EWiseAddMatrix(ctx, plus, a, b)
-	if err != nil {
+	a, _ := BuildMatrix(2, 3, []int{0, 0, 1, 1}, []int{0, 1, 0, 2}, []int64{10, 20, 30, 40}, nil)
+	b, _ := BuildMatrix(2, 3, []int{0, 1}, []int{1, 2}, []int64{2, 5}, nil)
+	minus := func(x, y int64) int64 { return x - y }
+	if err := FoldMatrix(ctx, minus, a, b); err != nil {
 		t.Fatal(err)
 	}
-	// a and b overlap at (0,1) and (1,2): |A∪B| = 3 + 3 - 2 = 4.
-	if sum.NVals() != 4 {
-		t.Fatalf("union nvals = %d, want 4", sum.NVals())
+	want := map[[2]int]int64{{0, 0}: 10, {0, 1}: 18, {1, 0}: 30, {1, 2}: 35}
+	if got := matrixToMap(a); !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded = %v, want %v", got, want)
 	}
-	if v, _ := sum.ExtractElement(0, 1); v != 12 {
-		t.Fatalf("union overlap = %d, want 12", v)
-	}
-	if v, _ := sum.ExtractElement(1, 0); v != 20 {
-		t.Fatalf("union b-only = %d", v)
+	if v, _ := b.ExtractElement(0, 1); v != 2 {
+		t.Fatal("fold mutated its operand")
 	}
 
-	prod, err := EWiseMultMatrix(ctx, plus, a, b)
-	if err != nil {
-		t.Fatal(err)
+	outside, _ := BuildMatrix(2, 3, []int{0}, []int{2}, []int64{1}, nil)
+	if err := FoldMatrix(ctx, minus, a, outside); err == nil {
+		t.Fatal("operand entry outside the output's pattern accepted")
 	}
-	if prod.NVals() != 2 {
-		t.Fatalf("intersection nvals = %d, want 2", prod.NVals())
-	}
-	if err := prod.Check(); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := EWiseAddMatrix(ctx, plus, a, build4(t)); err == nil {
+	if err := FoldMatrix(ctx, minus, a, build4(t)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
+	withCSC := a.Dup()
+	withCSC.EnsureCSC()
+	if err := FoldMatrix(ctx, minus, withCSC, b); err == nil {
+		t.Fatal("fold into a matrix with a CSC mirror accepted")
+	}
 }
 
-func TestEWiseMatrixProperty(t *testing.T) {
-	// Union pattern size == |A| + |B| - |A∩B|; intersection ⊆ both.
-	f := func(sa, sb uint16) bool {
-		ctx := NewSerialContext()
-		a := randomMatrix(12, 40, uint64(sa)+1)
-		b := randomMatrix(12, 40, uint64(sb)+500)
-		plus := func(x, y int64) int64 { return x + y }
-		u, err := EWiseAddMatrix(ctx, plus, a, b)
-		if err != nil {
-			return false
+// TestFoldMatrixProperty folds a random subset of a matrix's entries back
+// into it and checks every position against the definition, on every
+// executor.
+func TestFoldMatrixProperty(t *testing.T) {
+	plus := func(x, y int64) int64 { return x + y }
+	f := func(sa, sel uint16) bool {
+		a := randomMatrix(40, 200, uint64(sa)+1)
+		b := SelectMatrix(a, func(v int64, i, j int) bool { return (i*7+j*3+int(sel))%3 != 0 })
+		want := matrixToMap(a)
+		for k, v := range matrixToMap(b) {
+			want[k] += v
 		}
-		m, err := EWiseMultMatrix(ctx, plus, a, b)
-		if err != nil {
-			return false
+		for _, ctx := range contextsUnderTest() {
+			out := a.Dup()
+			if err := FoldMatrix(ctx, plus, out, b); err != nil {
+				return false
+			}
+			if out.Check() != nil || !reflect.DeepEqual(matrixToMap(out), want) {
+				return false
+			}
 		}
-		return u.NVals() == a.NVals()+b.NVals()-m.NVals() &&
-			u.Check() == nil && m.Check() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestExtractSubvector(t *testing.T) {
-	ctx := NewSerialContext()
-	u := NewVector[int64](6, Dense)
-	u.SetElement(1, 10)
-	u.SetElement(4, 40)
-	w, err := ExtractSubvector(ctx, u, []int{4, 2, 1})
+// TestPatternMinus splits a random matrix by a predicate and checks that
+// PatternMinus of one part's pattern returns exactly the other part.
+func TestPatternMinus(t *testing.T) {
+	f := func(sa, sel uint16) bool {
+		a := randomMatrix(40, 200, uint64(sa)+7)
+		keep := func(v int64, i, j int) bool { return (i*5+j+int(sel))%4 != 0 }
+		kept := SelectMatrix(a, keep)
+		want := matrixToMap(SelectMatrix(a, func(v int64, i, j int) bool { return !keep(v, i, j) }))
+		for _, ctx := range contextsUnderTest() {
+			d, err := PatternMinus(ctx, a, kept.Pattern())
+			if err != nil || d.Check() != nil || !reflect.DeepEqual(matrixToMap(d), want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PatternMinus(NewSerialContext(), build4(t), randomMatrix(5, 10, 1).Pattern()); err == nil {
+		t.Fatal("dimension mismatch accepted")
+	}
+}
+
+// TestMaskedKernelChoice pins KernelAuto's masked rule on ktruss's
+// shapes: S*S under S keeps the dot kernel, and the delta products, with a
+// removed-edge operand much sparser than the mask, go to Gustavson. It
+// also checks the flop identity ktruss prices a delta round by.
+// (TestTriangleCountKeepsDot in lagraph covers tc's products.)
+func TestMaskedKernelChoice(t *testing.T) {
+	S := MatrixFromGraph(gen.Random(200, 1600, false, 1, 5).Symmetrize(), func(uint32) int64 { return 1 })
+	if maskedSaxpy(S.Pattern(), S, S) {
+		t.Fatal("S*S under S left the dot kernel")
+	}
+	next := SelectMatrix(S, func(_ int64, i, j int) bool { return (i+j)%10 != 0 })
+	D, err := PatternMinus(NewSerialContext(), S, next.Pattern())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 3 || w.NVals() != 2 {
-		t.Fatalf("subvector shape: size=%d nvals=%d", w.Size(), w.NVals())
+	if !maskedSaxpy(next.Pattern(), D, S) || !maskedSaxpy(next.Pattern(), next, D) {
+		t.Fatal("a delta product with a sparse operand did not choose Gustavson")
 	}
-	if v, _ := w.ExtractElement(0); v != 40 {
-		t.Fatalf("w[0] = %d", v)
-	}
-	if _, ok := w.ExtractElement(1); ok {
-		t.Fatal("w[1] should be implicit")
-	}
-	if _, err := ExtractSubvector(ctx, u, []int{9}); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-}
-
-func TestExtractSubmatrix(t *testing.T) {
-	ctx := NewSerialContext()
-	m := build4(t) // entries (0,1)=1 (0,2)=2 (1,2)=3 (2,0)=4 (2,3)=5
-	sub, err := ExtractSubmatrix(ctx, m, []int{2, 0}, []int{0, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NRows() != 2 || sub.NCols() != 2 {
-		t.Fatalf("sub dims %dx%d", sub.NRows(), sub.NCols())
-	}
-	// Row 0 of sub = row 2 of m restricted to cols {0,2}: only (2,0)=4.
-	if v, ok := sub.ExtractElement(0, 0); !ok || v != 4 {
-		t.Fatalf("sub(0,0) = %d,%v", v, ok)
-	}
-	// Row 1 of sub = row 0 of m: (0,2)=2 maps to col 1.
-	if v, ok := sub.ExtractElement(1, 1); !ok || v != 2 {
-		t.Fatalf("sub(1,1) = %d,%v", v, ok)
-	}
-	if err := sub.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ExtractSubmatrix(ctx, m, []int{9}, []int{0}); err == nil {
-		t.Fatal("bad row accepted")
-	}
-}
-
-func TestKroneckerIdentity(t *testing.T) {
-	ctx := NewSerialContext()
-	// I2 ⊗ A = block diagonal [A 0; 0 A].
-	i2, _ := BuildMatrix(2, 2, []int{0, 1}, []int{0, 1}, []int64{1, 1}, nil)
-	a := build4(t)
-	k := Kronecker(ctx, PlusTimes[int64](), i2, a)
-	if k.NRows() != 8 || k.NCols() != 8 {
-		t.Fatalf("kron dims %dx%d", k.NRows(), k.NCols())
-	}
-	if k.NVals() != 2*a.NVals() {
-		t.Fatalf("kron nvals = %d", k.NVals())
-	}
-	if err := k.Check(); err != nil {
-		t.Fatal(err)
-	}
-	v1, _ := a.ExtractElement(2, 3)
-	v2, ok := k.ExtractElement(4+2, 4+3)
-	if !ok || v1 != v2 {
-		t.Fatalf("kron block mismatch: %d vs %d", v1, v2)
-	}
-	if _, ok := k.ExtractElement(0, 5); ok {
-		t.Fatal("off-block entry present")
-	}
-}
-
-func TestKroneckerMatchesRMATExpansion(t *testing.T) {
-	// kron of a 2x2 seed with itself has the RMAT recursion's pattern size.
-	ctx := NewSerialContext()
-	seed, _ := BuildMatrix(2, 2, []int{0, 0, 1}, []int{0, 1, 1}, []int64{1, 1, 1}, nil)
-	k := Kronecker(ctx, PlusTimes[int64](), seed, seed)
-	if k.NVals() != 9 {
-		t.Fatalf("kron^2 nvals = %d, want 9", k.NVals())
+	if got, want := MxMFlops(next.Pattern(), D, S)+MxMFlops(next.Pattern(), next, D),
+		MxMFlops(next.Pattern(), S, S)-MxMFlops(next.Pattern(), next, next); got != want {
+		t.Fatalf("delta flops %d, want flops(S_old*S_old) - flops(S_new*S_new) = %d", got, want)
 	}
 }

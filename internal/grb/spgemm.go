@@ -2,6 +2,7 @@ package grb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"graphstudy/internal/galois"
@@ -27,8 +28,9 @@ func (m *Matrix[T]) Pattern() *Pattern {
 // computes the full product. The kernel is chosen by ctx.Kernel, with
 // KernelAuto following SuiteSparse's heuristics: the diagonal fast path when
 // A is diagonal (GaloisBLAS's specialization), the dot-product kernel when a
-// mask bounds the output, and SAXPY (Gustavson or hash by accumulator size)
-// otherwise.
+// mask bounds the output (Gustavson instead when maskedSaxpy says an
+// operand is too sparse for the mask's merges to find anything), and SAXPY
+// (Gustavson or hash by accumulator size) otherwise.
 func MxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) (*Matrix[T], error) {
 	if A.ncols != B.nrows {
 		return nil, fmt.Errorf("grb: MxM inner dimensions %d != %d", A.ncols, B.nrows)
@@ -42,6 +44,8 @@ func MxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) (*M
 		switch {
 		case A.IsDiagonal():
 			diag = true
+		case mask != nil && maskedSaxpy(mask, A, B):
+			kernel = KernelGustavson
 		case mask != nil:
 			kernel = KernelDot
 		case B.ncols <= 1<<22:
@@ -81,6 +85,53 @@ func MxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) (*M
 	// The assembled CSR result: col indices + values + row pointers.
 	sp.Bytes = C.NVals()*(4+elemBytes[T]()) + int64(C.nrows+1)*8
 	return C, nil
+}
+
+// MxMFlops returns the multiply count of C<mask> = A * B computed by
+// SAXPY: for every row i the mask admits (every row for a nil mask), the
+// sum over A(i,k) of B's row-k degree. It reads row pointers only — O(nnz(A))
+// — so a caller can price a product before running it (SuiteSparse's
+// GB_AxB_saxpy3_flopcount).
+func MxMFlops[T any](mask *Pattern, A, B *Matrix[T]) int64 {
+	if mask != nil && mask.rowPtr[mask.nrows] == 0 {
+		return 0 // an empty mask admits no row
+	}
+	var flops int64
+	for i := 0; i < A.nrows; i++ {
+		if mask != nil && mask.rowPtr[i] == mask.rowPtr[i+1] {
+			continue
+		}
+		for _, k := range A.colIdx[A.rowPtr[i]:A.rowPtr[i+1]] {
+			flops += B.rowPtr[k+1] - B.rowPtr[k]
+		}
+	}
+	return flops
+}
+
+// maskedSaxpy decides KernelAuto's kernel for a masked product from sizes
+// in its inputs. The dot kernel runs one merge per mask entry whose row of
+// A is non-empty, A's row against a column of B; Gustavson walks, for each
+// A(i,k), row k of B. While both operands hold at least half as many
+// entries as the mask — tc's L*U', any S*S under S — the merges have
+// material on both sides and the dot kernel, which needs no accumulator,
+// is kept. When one operand is sparser (ktruss's delta products D*S and
+// S*D), most merges find nothing, and Gustavson is chosen if its flops
+// undercut the merges' estimated length: A's row plus B's mean column
+// degree, per visited mask entry. Gustavson reads B by rows, so it needs
+// no CSC mirror either.
+func maskedSaxpy[T any](mask *Pattern, A, B *Matrix[T]) bool {
+	m := mask.rowPtr[mask.nrows]
+	if 2*min(A.NVals(), B.NVals()) > m || B.ncols == 0 {
+		return false
+	}
+	colDeg := B.NVals() / int64(B.ncols)
+	var merges int64
+	for i := 0; i < A.nrows; i++ {
+		if a := A.rowPtr[i+1] - A.rowPtr[i]; a > 0 {
+			merges += (mask.rowPtr[i+1] - mask.rowPtr[i]) * (a + colDeg)
+		}
+	}
+	return MxMFlops(mask, A, B) < merges
 }
 
 // rowResult holds one output row before assembly.
@@ -218,7 +269,7 @@ func saxpyMxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]
 					for j := range hashAcc {
 						cols = append(cols, j)
 					}
-					sort.Slice(cols, func(x, y int) bool { return cols[x] < cols[y] })
+					slices.Sort(cols)
 					vals := make([]T, len(cols))
 					for x, j := range cols {
 						vals[x] = hashAcc[j]
@@ -260,7 +311,7 @@ func saxpyMxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]
 				}
 				if len(a.touch) > 0 {
 					cols := append([]int32(nil), a.touch...)
-					sort.Slice(cols, func(x, y int) bool { return cols[x] < cols[y] })
+					slices.Sort(cols)
 					vals := make([]T, len(cols))
 					for x, j := range cols {
 						vals[x] = a.vals[j]

@@ -174,15 +174,6 @@ func MinSecond[T Number]() Semiring[T] {
 	}
 }
 
-// MinFirst returns (min, first): multiply yields the first operand.
-func MinFirst[T Number]() Semiring[T] {
-	return Semiring[T]{
-		Name: "min_first",
-		Add:  MinMonoid[T](),
-		Mul:  func(a, b T) T { return a },
-	}
-}
-
 // PlusPair returns (+, pair): multiply is the constant 1, so the product
 // counts pattern intersections. Triangle counting's semiring.
 func PlusPair[T Number]() Semiring[T] {
@@ -199,16 +190,6 @@ func PlusSecond[T Number]() Semiring[T] {
 	return Semiring[T]{
 		Name: "plus_second",
 		Add:  PlusMonoid[T](),
-		Mul:  func(a, b T) T { return b },
-	}
-}
-
-// MaxSecond returns (max, second): multiply yields the second operand.
-// In MxV products the second operand is the vector value.
-func MaxSecond[T Number]() Semiring[T] {
-	return Semiring[T]{
-		Name: "max_second",
-		Add:  MaxMonoid[T](),
 		Mul:  func(a, b T) T { return b },
 	}
 }

@@ -13,14 +13,20 @@ import (
 // rounds (setup included, so a round's share of it too).
 //
 // The bounds sit a few allocations above this tree's counts (bfs 40.6,
-// sssp 135.2, pr 920.4, cc 292.1 per round) and below those of kernels
-// that build a mask bitmap per call, two n-sized accumulator arrays per
-// worker per push and a fresh entry list per pushed block (bfs 58.3,
-// sssp 185.2, pr 1050.6). cc uses none of those, so its bound only guards
-// against a rise of four allocations per round. A pr round is
-// dominated by the rows of the materialized contribution matrix T = D*A,
-// and a cc round by the per-block entry lists of its sparse outputs,
-// which both formulations allocate by design.
+// fused bfs 33.8, sssp 135.2, pr 920.3, cc 292.1, ktruss 741.3 per round)
+// and below those of kernels that build a mask bitmap per call, two
+// n-sized accumulator arrays per worker per push and a fresh entry list
+// per pushed block (bfs 58.3, sssp 185.2, pr 1050.6). cc uses none of
+// those, so its bound only guards against a rise of four allocations per
+// round. A pr round is dominated by the rows of the materialized
+// contribution matrix T = D*A, and a cc round by the per-block entry lists
+// of its sparse outputs, which both formulations allocate by design. Fused
+// bfs reads its frontier in place and marks the next one in the
+// workspace's scratch bitmap (42.6 per round with a fresh n-bit bitmap and
+// a frontier copy per round). ktruss runs on a small RMAT graph instead,
+// since the grid has no triangles; its rounds after the first update the
+// supports from the removed edges (1763.7 per round when every round ran
+// the full product).
 
 // allocsPerRound runs run under testing.AllocsPerRun and divides by the
 // rounds it reports.
@@ -40,6 +46,8 @@ func TestEagerRoundAllocs(t *testing.T) {
 	af := grb.MatrixFromGraph(g, func(uint32) float64 { return 1 })
 	af.EnsureCSC()
 	as := grb.MatrixFromGraph(g.Symmetrize(), func(uint32) uint32 { return 1 })
+	ak := grb.MatrixFromGraph(gen.RMAT(8, 16, 0.57, 0.19, 0.19, false, 1, 7).Symmetrize(), func(uint32) int64 { return 1 })
+	ak.EnsureCSC()
 	check := func(name string, perRound, max float64) {
 		t.Helper()
 		t.Logf("%s: %.1f allocations per round", name, perRound)
@@ -54,6 +62,13 @@ func TestEagerRoundAllocs(t *testing.T) {
 		}
 		return r
 	}), 45)
+	check("fused bfs", allocsPerRound(t, func() int {
+		_, r, err := FusedBFS(ctx, ab, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}), 36)
 	check("sssp", allocsPerRound(t, func() int {
 		res, err := SSSP(ctx, aw, 0, uint32(50))
 		if err != nil {
@@ -75,4 +90,11 @@ func TestEagerRoundAllocs(t *testing.T) {
 		}
 		return r
 	}), 296)
+	check("ktruss", allocsPerRound(t, func() int {
+		res, err := KTruss(ctx, ak, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rounds
+	}), 745)
 }

@@ -57,11 +57,20 @@ func newResultCache(capacity int, reg *metrics.Registry) *resultCache {
 
 // Get returns the cached result for key, if any, and marks it recently used.
 func (c *resultCache) Get(key Key) (core.Result, bool) {
+	res, ok := c.recheck(key)
+	if !ok {
+		c.misses.Inc()
+	}
+	return res, ok
+}
+
+// recheck is Get for a key the same request has already missed: a hit
+// counts, a second miss does not.
+func (c *resultCache) recheck(key Key) (core.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses.Inc()
 		return core.Result{}, false
 	}
 	c.order.MoveToFront(el)

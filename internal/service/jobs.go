@@ -107,13 +107,27 @@ func (s *jobStore) getOrCreate(key Key, spec core.RunSpec) (*Job, bool) {
 		j.waiters.Add(1)
 		return j, true
 	}
+	j := s.registerLocked(key, spec)
+	s.inflight[key] = j
+	return j, false
+}
+
+// create registers a new job that never enters the singleflight table: a
+// request served from the result cache, which nothing may attach to.
+func (s *jobStore) create(key Key, spec core.RunSpec) *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.registerLocked(key, spec)
+}
+
+// registerLocked gives a new job its ID and makes it visible to lookups.
+func (s *jobStore) registerLocked(key Key, spec core.RunSpec) *Job {
 	id := fmt.Sprintf("job-%d", s.seq.Add(1))
 	j := newJob(id, key, spec)
-	s.inflight[key] = j
 	s.byID[id] = j
 	s.ordered = append(s.ordered, j)
 	s.trimLocked()
-	return j, false
+	return j
 }
 
 // abandon removes a job that was created but never admitted to the queue

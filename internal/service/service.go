@@ -188,13 +188,25 @@ func (s *Server) Submit(spec core.RunSpec) (*Job, error) {
 	}
 	s.reg.Counter("requests_total").Inc()
 
+	// The cache is consulted before the singleflight table, so a cached
+	// key is always a cache hit: it never attaches, as a dedup hit, to an
+	// identical request that is itself only on its way to the cache.
+	if res, ok := s.cache.Get(key); ok {
+		job := s.jobs.create(key, spec)
+		job.complete(res, true)
+		return job, nil
+	}
+
 	job, attached := s.jobs.getOrCreate(key, spec)
 	if attached {
 		s.reg.Counter("dedup_hits").Inc()
 		return job, nil
 	}
 
-	if res, ok := s.cache.Get(key); ok {
+	// The job that was in flight for key may have finished between the
+	// lookup above and getOrCreate; execute caches a result before it
+	// settles the job, so the result is there now.
+	if res, ok := s.cache.recheck(key); ok {
 		s.jobs.settle(job)
 		job.complete(res, true)
 		return job, nil

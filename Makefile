@@ -35,9 +35,9 @@ race:
 # worker count, plus a does-it-run pass over the SpMV scaling benchmark and
 # the typed-vs-generic semiring kernel benchmark. The grb suite includes
 # the workspace reuse tests (push accumulators across calls, element types
-# and generation wraparound); the lagraph allocation gate pins what one
-# eager bfs, fused bfs, sssp, pr, cc and ktruss round allocates at one
-# worker.
+# and generation wraparound) and the MxM allocation gate; the lagraph
+# allocation gate pins what one eager bfs, fused bfs, sssp, pr, fused pr,
+# cc and ktruss round allocates at one worker.
 # The adapt suite sweeps no worker counts, so it registers no -grb.workers
 # flag and runs without it.
 test-parallel:
@@ -57,8 +57,9 @@ test-determinism:
 # merge checked against a full rebuild, the in-place Dense kernels checked
 # against the entry-list path, mask views checked against materialized
 # bitmap masks, the typed semiring loops checked against the generic loop,
-# the merge-built symmetric closure checked against the Builder path, and
-# delta-support ktruss checked round by round against the full recompute.
+# the merge-built symmetric closure checked against the Builder path,
+# delta-support ktruss checked round by round against the full recompute,
+# and every MxM kernel checked against the product by definition.
 # Go allows one fuzz target per invocation, so each runs separately; 30s
 # apiece keeps this CI-sized while still exercising the mutator beyond the
 # seed corpus.
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
 	$(GO) test -run '^$$' -fuzz '^FuzzMaskViews$$' -fuzztime $(FUZZTIME) ./internal/grb/
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiringKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
+	$(GO) test -run '^$$' -fuzz '^FuzzMxMKernels$$' -fuzztime $(FUZZTIME) ./internal/grb/
 	$(GO) test -run '^$$' -fuzz '^FuzzSymmetrize$$' -fuzztime $(FUZZTIME) ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzKTruss$$' -fuzztime $(FUZZTIME) ./internal/lagraph/
 

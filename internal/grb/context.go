@@ -88,9 +88,10 @@ func (c *Context) threads() int { return c.Ex.Threads() }
 
 // workspace is the scratch the kernels of one run reuse from call to call,
 // so that a round whose frontier is small costs no O(n) allocation: the
-// push accumulators of spmvPush (one per worker, see accMarks), and the
-// bitmap a Sorted or List mask source is spread into. It lives on the
-// Context, so it is dropped with the run rather than pooled process-wide.
+// push accumulators of spmvPush and SpGEMM (one per worker, see accMarks),
+// and the bitmap a Sorted or List mask source is spread into. It lives on
+// the Context, so it is dropped with the run rather than pooled
+// process-wide.
 type workspace struct {
 	accs []*accMarks
 	// scratch holds the bitmap of the Sorted/List mask bound to the current
@@ -159,10 +160,11 @@ func (ws *workspace) spread(n int, idx []int32, keep func(k int) bool, comp bool
 	return ws.setView(maskView{bits: b, words: ws.words, comp: comp})
 }
 
-// pushAccs starts an spmvPush call: it empties every accumulator's
-// extracted-index buffer, whose entries belong to the previous call (take
-// truncates the values to match), and returns the per-worker slots for t
-// workers. A nil slot is filled by the worker that first needs it.
+// pushAccs starts an spmvPush or SpGEMM call: it empties every
+// accumulator's extracted-index buffer, whose entries belong to the
+// previous call (the values are cut to match), and returns the per-worker
+// slots for t workers. A nil slot is filled by the worker that first needs
+// it.
 func (ws *workspace) pushAccs(t int) []*accMarks {
 	if len(ws.accs) < t {
 		ws.accs = append(ws.accs, make([]*accMarks, t-len(ws.accs))...)

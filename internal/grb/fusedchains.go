@@ -20,9 +20,10 @@ import (
 // chain would have, on every executor and worker count. Three rules make
 // that hold:
 //
-//   - Embedded SpMVs go through the same spmvPush/spmvPull code as VxM,
-//     selected by the shared vxmUsePull heuristic (float addition folds in
-//     a kernel-specific order, so the *choice* must match too).
+//   - Embedded SpMVs go through the same spmvPush/spmvPull/spmvPullDense
+//     code as VxM, selected by the shared vxmUsePull heuristic (float
+//     addition folds in a kernel-specific order, so the *choice* must
+//     match too).
 //   - Parallel phases follow the PR 4 blocking discipline: per-block
 //     partials stitched in ascending block order, or in-place writes to
 //     positions owned by exactly one loop iteration.
@@ -180,10 +181,11 @@ func FusedAssignExpand[T comparable](ctx *Context, dist *Vector[T], level T, fro
 //	VxM(w = u ⊗ A, s, replace)
 //	Apply(w = op(w), replace)
 //
-// by mapping op over the SpMV's entry list before the single merge into w,
-// skipping the intermediate merge, Apply's alias snapshot of w, and the
-// re-traversal entry list. Legal for any representation of w — the final
-// merge commits exactly the entries the eager pair would.
+// by applying op to each SpMV result before it reaches w — in place for a
+// pull into a Dense w, as eager VxM writes, else over the SpMV's entry list
+// before one merge — skipping the intermediate merge, Apply's alias
+// snapshot of w, and the re-traversal entry list. Legal for any
+// representation of w: it commits exactly the entries the eager pair would.
 func FusedVxMApply[T any](ctx *Context, w *Vector[T], s Semiring[T], u *Vector[T], A *Matrix[T], op UnaryOp[T], desc Desc) (FusedStats, bool, error) {
 	var stats FusedStats
 	if u.n != A.nrows {
@@ -204,34 +206,40 @@ func FusedVxMApply[T any](ctx *Context, w *Vector[T], s Semiring[T], u *Vector[T
 	sp.Workers = int64(ctx.threads())
 	stats.NNZIn = int64(u.NVals())
 
+	inPlace := usePull && w.rep == Dense
+	var k int
 	var e entryList[T]
-	if usePull {
+	switch {
+	case inPlace:
+		k = spmvPullDense(ctx, w, nil, nil, desc.Replace, s, u, A, true, op)
+	case usePull:
 		e = spmvPull(ctx, nil, s, u, A, true)
-	} else {
+	default:
 		// e lives in ws's buffers until the workspace is released.
 		ws := ctx.acquire()
 		defer ctx.release(ws)
 		e = spmvPush(ctx, ws, nil, s, u, A, true)
 	}
-	galois.ForBlocks(ctx.Ex, len(e.vals), ctx.blockFor(len(e.vals)), func(b, lo, hi int, gctx *galois.Ctx) {
-		for k := lo; k < hi; k++ {
-			e.vals[k] = op(e.vals[k])
-		}
-		gctx.Work(int64(hi - lo))
-	})
-	sp.NNZOut = int64(len(e.idx))
-	sp.Bytes = entryBytes[T](len(e.idx))
-	stats.NNZOut = int64(len(e.idx))
+	if !inPlace {
+		galois.ForBlocks(ctx.Ex, len(e.vals), ctx.blockFor(len(e.vals)), func(b, lo, hi int, gctx *galois.Ctx) {
+			for k := lo; k < hi; k++ {
+				e.vals[k] = op(e.vals[k])
+			}
+			gctx.Work(int64(hi - lo))
+		})
+		k = len(e.idx)
+	}
+	stats.NNZOut = int64(k)
 	// Eager would materialize: Apply's alias snapshot of w (w holds the
 	// SpMV result by then) and Apply's output entry list. The intermediate
 	// merge into w is saved too but overlaps the final merge byte-for-byte,
 	// so only the snapshot is counted.
 	if w.rep == Dense {
-		stats.Elided = int64(w.n)*elemBytes[T]() + bitmapBytes(w.n) + entryBytes[T](len(e.idx))
+		stats.Elided = int64(w.n)*elemBytes[T]() + bitmapBytes(w.n) + entryBytes[T](k)
 	} else {
-		stats.Elided = 2 * entryBytes[T](len(e.idx))
+		stats.Elided = 2 * entryBytes[T](k)
 	}
-	mergeIntoVector(w, e, nil, desc.Replace)
+	commit(&sp, w, inPlace, k, e, nil, desc.Replace)
 	return stats, true, nil
 }
 

@@ -2,6 +2,7 @@ package grb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -241,17 +242,17 @@ func (m *Matrix[T]) IsDiagonal() bool {
 	return true
 }
 
-// Diag builds a diagonal matrix from the explicit entries of v.
+// Diag builds a diagonal matrix from the explicit entries of v, read in
+// place: its sorted entries (sortedEntries) become the matrix's arrays.
 func Diag[T any](v *Vector[T]) *Matrix[T] {
 	n := v.Size()
+	colIdx, vals := sortedEntries(v)
+	if v.rep == Sorted {
+		colIdx, vals = slices.Clone(colIdx), slices.Clone(vals)
+	}
 	rowPtr := make([]int64, n+1)
-	colIdx := make([]int32, 0, v.NVals())
-	vals := make([]T, 0, v.NVals())
-	is, vs := v.Entries()
-	for k, i := range is {
+	for _, i := range colIdx {
 		rowPtr[i+1] = 1
-		colIdx = append(colIdx, int32(i))
-		vals = append(vals, vs[k])
 	}
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]

@@ -158,19 +158,30 @@ func TestReduceMatrix(t *testing.T) {
 	}
 }
 
+// TestDiagAndIsDiagonal builds Diag from every representation, with
+// entries set out of order and a gap, and checks that the matrix holds
+// exactly v's entries and shares no memory with v.
 func TestDiagAndIsDiagonal(t *testing.T) {
-	v := NewVector[int64](3, Sorted)
-	v.SetElement(0, 2)
-	v.SetElement(2, 4)
-	d := Diag(v)
-	if err := d.Check(); err != nil {
-		t.Fatal(err)
-	}
-	if !d.IsDiagonal() {
-		t.Fatal("Diag result not diagonal")
-	}
-	if val, ok := d.ExtractElement(2, 2); !ok || val != 4 {
-		t.Fatal("diag entry wrong")
+	want := map[[2]int]int64{{0, 0}: 2, {2, 2}: 4, {4, 4}: -1}
+	for _, rep := range Reps() {
+		v := NewVector[int64](5, rep)
+		for _, i := range []int{4, 0, 2} {
+			v.SetElement(i, want[[2]int{i, i}])
+		}
+		d := Diag(v)
+		if err := d.Check(); err != nil {
+			t.Fatalf("%v: %v", rep, err)
+		}
+		if !d.IsDiagonal() || d.NRows() != 5 || d.NCols() != 5 {
+			t.Fatalf("%v: Diag result not a 5x5 diagonal", rep)
+		}
+		if got := matrixToMap(d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: Diag entries %v, want %v", rep, got, want)
+		}
+		v.SetElement(0, 7)
+		if val, _ := d.ExtractElement(0, 0); val != 2 {
+			t.Fatalf("%v: Diag shares memory with its vector", rep)
+		}
 	}
 	if build4(t).IsDiagonal() {
 		t.Fatal("non-diagonal matrix reported diagonal")

@@ -3,6 +3,7 @@ package grb
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -124,24 +125,61 @@ func TestMetamorphicVecOpsBlockInvariant(t *testing.T) {
 	}
 }
 
+// TestMetamorphicSpGEMMBlockInvariant sweeps every MxM kernel over the
+// block sizes: unmasked Gustavson and hash, masked dot, Gustavson and
+// hash, and the diagonal kernel with a full diagonal and with gaps. A has
+// empty rows on both sides of several block boundaries, and the last two
+// products are empty (an empty B, an empty mask).
 func TestMetamorphicSpGEMMBlockInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	n := 90
-	A := randMatrix(r, n, n, n*5, randFloat)
+	gaps := map[int]bool{6: true, 7: true, 32: true, 33: true, 34: true, 63: true, 64: true, 65: true}
+	A := SelectMatrix(randMatrix(r, n, n, n*5, randFloat), func(_ float64, i, _ int) bool { return !gaps[i] })
 	B := randMatrix(r, n, n, n*5, randFloat)
-	run := func(ctx *Context, block int) *Matrix[float64] {
-		ctx.Block = block
-		ctx.Kernel = KernelGustavson
-		C, err := MxM(ctx, nil, PlusTimes[float64](), A, B)
-		if err != nil {
-			t.Fatal(err)
+	mask := randMatrix(r, n, n, n*8, randFloat).Pattern()
+	full := NewVector[float64](n, Dense)
+	holes := NewVector[float64](n, Sorted)
+	for i := 0; i < n; i++ {
+		full.SetElement(i, randFloat(r))
+		if i%3 != 1 && !gaps[i] {
+			holes.SetElement(i, randFloat(r))
 		}
-		return C
 	}
-	want := run(NewSerialContext(), 0)
-	for _, ctx := range blockSweepContexts() {
-		for _, block := range metamorphicBlocks {
-			mustEqualMatrices(t, fmt.Sprintf("spgemm/block=%d", block), want, run(ctx, block))
+	empty := NewMatrixFromCSR[float64](n, n, make([]int64, n+1), nil, nil)
+	cases := []struct {
+		name   string
+		kernel MxMKernel
+		mask   *Pattern
+		A, B   *Matrix[float64]
+	}{
+		{"gustavson", KernelGustavson, nil, A, B},
+		{"hash", KernelHash, nil, A, B},
+		{"dot/masked", KernelDot, mask, A, B},
+		{"gustavson/masked", KernelGustavson, mask, A, B},
+		{"hash/masked", KernelHash, mask, A, B},
+		{"diag/full", KernelAuto, nil, Diag(full), B},
+		{"diag/gaps", KernelAuto, nil, Diag(holes), A},
+		{"empty/B", KernelGustavson, nil, A, empty},
+		{"empty/mask", KernelDot, empty.Pattern(), A, B},
+	}
+	for _, c := range cases {
+		run := func(ctx *Context, block int) *Matrix[float64] {
+			ctx.Block = block
+			ctx.Kernel = c.kernel
+			C, err := MxM(ctx, c.mask, PlusTimes[float64](), c.A, c.B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return C
+		}
+		want := run(NewSerialContext(), 0)
+		if !strings.HasPrefix(c.name, "empty") && want.NVals() == 0 {
+			t.Fatalf("%s: empty product, want entries", c.name)
+		}
+		for _, ctx := range blockSweepContexts() {
+			for _, block := range metamorphicBlocks {
+				mustEqualMatrices(t, fmt.Sprintf("spgemm/%s/block=%d", c.name, block), want, run(ctx, block))
+			}
 		}
 	}
 }

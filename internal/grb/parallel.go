@@ -79,9 +79,10 @@ func blockedWords[T any](ctx *Context, n int, produce func(wlo, whi int, out *en
 // accMarks is the element-type-independent half of a push accumulator: a
 // bitmap of the positions touched since the last take, the touched
 // positions in scatter order, and the indices of the entries take has
-// extracted during the current call. It lives in the run's workspace, one
-// per worker, and is reused by every spmvPush of the run whatever its
-// element type; typed holds the *accVals of the type last used.
+// extracted (or blockedRows staged) during the current call. It lives in
+// the run's workspace, one per worker, and is reused by every spmvPush and
+// SpGEMM of the run whatever its element type; typed holds the *accVals of
+// the type last used.
 type accMarks struct {
 	seen  bitmap
 	touch []int32

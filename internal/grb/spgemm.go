@@ -3,7 +3,6 @@ package grb
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"graphstudy/internal/galois"
 	"graphstudy/internal/perfmodel"
@@ -27,10 +26,10 @@ func (m *Matrix[T]) Pattern() *Pattern {
 // MxM computes C<mask> = A * B under the semiring (GrB_mxm). A nil mask
 // computes the full product. The kernel is chosen by ctx.Kernel, with
 // KernelAuto following SuiteSparse's heuristics: the diagonal fast path when
-// A is diagonal (GaloisBLAS's specialization), the dot-product kernel when a
-// mask bounds the output (Gustavson instead when maskedSaxpy says an
-// operand is too sparse for the mask's merges to find anything), and SAXPY
-// (Gustavson or hash by accumulator size) otherwise.
+// A is diagonal and there is no mask (GaloisBLAS's specialization), the
+// dot-product kernel when a mask bounds the output (Gustavson instead when
+// maskedSaxpy says an operand is too sparse for the mask's merges to find
+// anything), and SAXPY (Gustavson or hash by accumulator size) otherwise.
 func MxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) (*Matrix[T], error) {
 	if A.ncols != B.nrows {
 		return nil, fmt.Errorf("grb: MxM inner dimensions %d != %d", A.ncols, B.nrows)
@@ -38,12 +37,12 @@ func MxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) (*M
 	if mask != nil && (mask.nrows != A.nrows || mask.ncols != B.ncols) {
 		return nil, fmt.Errorf("grb: MxM mask is %dx%d, want %dx%d", mask.nrows, mask.ncols, A.nrows, B.ncols)
 	}
+	// A kernel left at KernelAuto after the choice is the diagonal one,
+	// which ignores the mask: it takes an empty A under any mask.
 	kernel := ctx.Kernel
-	diag := false
 	if kernel == KernelAuto {
 		switch {
-		case A.IsDiagonal():
-			diag = true
+		case (mask == nil || A.NVals() == 0) && A.IsDiagonal():
 		case mask != nil && maskedSaxpy(mask, A, B):
 			kernel = KernelGustavson
 		case mask != nil:
@@ -54,29 +53,21 @@ func MxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) (*M
 			kernel = KernelHash
 		}
 	}
-	op := "grb.MxM.gustavson"
-	switch {
-	case diag:
-		op = "grb.MxM.diag"
-	case kernel == KernelDot:
-		op = "grb.MxM.dot"
-	case kernel == KernelHash:
-		op = "grb.MxM.hash"
-	}
-	sp := trace.Begin(trace.CatKernel, op)
+	sp := trace.Begin(trace.CatKernel, [...]string{KernelAuto: "grb.MxM.diag", KernelGustavson: "grb.MxM.gustavson",
+		KernelHash: "grb.MxM.hash", KernelDot: "grb.MxM.dot"}[kernel])
 	defer sp.End()
 	sp.NNZIn = A.NVals() + B.NVals()
 	sp.Workers = int64(ctx.threads())
 	var C *Matrix[T]
-	switch {
-	case diag:
+	switch kernel {
+	case KernelAuto:
 		C = diagMxM(ctx, s, A, B)
-	case kernel == KernelDot:
+	case KernelDot:
 		if mask == nil {
 			return nil, fmt.Errorf("grb: MxM dot kernel requires a mask to bound the output")
 		}
 		C = dotMxM(ctx, mask, s, A, B)
-	case kernel == KernelHash:
+	case KernelHash:
 		C = saxpyMxM(ctx, mask, s, A, B, true)
 	default:
 		C = saxpyMxM(ctx, mask, s, A, B, false)
@@ -134,39 +125,62 @@ func maskedSaxpy[T any](mask *Pattern, A, B *Matrix[T]) bool {
 	return MxMFlops(mask, A, B) < merges
 }
 
-// rowResult holds one output row before assembly.
-type rowResult[T any] struct {
-	cols []int32
-	vals []T
-}
-
-// assemble builds a CSR matrix from per-row results in two passes: a serial
-// size pass (the prefix sum over row lengths that fixes every row's offset)
-// and a parallel fill pass. Rows copy into disjoint [rowPtr[i], rowPtr[i+1])
-// ranges, so the fill is race-free and its output independent of schedule.
-func assemble[T any](ctx *Context, nrows, ncols int, rows []rowResult[T]) *Matrix[T] {
+// blockedRows computes C<mask> = A * B over the deterministic blocking of
+// A's rows: row appends row i's entries, in ascending column order, to the
+// entry buffers (a.idx, a.out) of its worker's push accumulator, whose
+// dense half spans width positions (0 when row folds nothing into it).
+// Each block stages its rows back to back there and writes each row's
+// length to rowPtr[i+1]; one prefix sum fixes the row offsets, and each
+// block copies its rows into its range once. Rows depend only on their
+// inputs, so C is independent of schedule and blocking. The accumulators
+// are the run's; a block that may not fit (rowBound) in what is left of
+// the buffers starts new ones of at least twice the size.
+func blockedRows[T any](ctx *Context, mask *Pattern, A, B *Matrix[T], width int, row func(i int, a pushAcc[T], gctx *galois.Ctx)) *Matrix[T] {
+	nrows, c := A.nrows, perfmodel.Get()
+	ws := ctx.acquire()
+	defer ctx.release(ws)
+	accs := ws.pushAccs(ctx.threads())
 	rowPtr := make([]int64, nrows+1)
-	var nnz int64
-	for i := range rows {
-		nnz += int64(len(rows[i].cols))
-		rowPtr[i+1] = nnz
+	block := ctx.blockFor(nrows)
+	parts := make([]entryList[T], galois.NumBlocks(nrows, block))
+	galois.ForBlocks(ctx.Ex, nrows, block, func(b, lo, hi int, gctx *galois.Ctx) {
+		if accs[gctx.TID] == nil {
+			//lint:ignore sharedwrite worker-local scratch cache: slot TID is only ever touched by its own worker and never feeds the output (parts is block-indexed)
+			accs[gctx.TID] = new(accMarks)
+		}
+		a := accFor[T](accs[gctx.TID], width)
+		a.out = a.out[:len(a.idx)]
+		if m := rowBound(mask, A, B, lo, hi); cap(a.idx)-len(a.idx) < m {
+			size := max(2*cap(a.idx), m)
+			a.idx, a.out = make([]int32, 0, size), make([]T, 0, size)
+		}
+		start := len(a.idx)
+		for i := lo; i < hi; i++ {
+			k := len(a.idx)
+			row(i, a, gctx)
+			rowPtr[i+1] = int64(len(a.idx) - k)
+		}
+		parts[b] = entryList[T]{idx: a.idx[start:], vals: a.out[start:]}
+		if c != nil {
+			c.StoreRange(0, perfmodel.KAux, start, len(parts[b].idx), 12)
+		}
+	})
+	for i := 0; i < nrows; i++ {
+		rowPtr[i+1] += rowPtr[i]
 	}
+	nnz := rowPtr[nrows]
 	colIdx := make([]int32, nnz)
 	vals := make([]T, nnz)
-	galois.ForBlocks(ctx.Ex, nrows, ctx.blockFor(nrows), func(b, lo, hi int, gctx *galois.Ctx) {
-		var work int64
-		for i := lo; i < hi; i++ {
-			off := rowPtr[i]
-			copy(colIdx[off:rowPtr[i+1]], rows[i].cols)
-			copy(vals[off:rowPtr[i+1]], rows[i].vals)
-			work += rowPtr[i+1] - off
-		}
-		gctx.Work(work)
-	})
-	out := NewMatrixFromCSR(nrows, ncols, rowPtr, colIdx, vals)
-	if c := perfmodel.Get(); c != nil {
-		// Assembling the result is a full write pass plus a read of the
-		// per-row staging buffers: the materialization cost itself.
+	if nnz > 0 {
+		galois.ForBlocks(ctx.Ex, nrows, block, func(b, lo, hi int, gctx *galois.Ctx) {
+			copy(colIdx[rowPtr[lo]:rowPtr[hi]], parts[b].idx)
+			copy(vals[rowPtr[lo]:rowPtr[hi]], parts[b].vals)
+			gctx.Work(rowPtr[hi] - rowPtr[lo])
+		})
+	}
+	out := NewMatrixFromCSR(nrows, B.ncols, rowPtr, colIdx, vals)
+	if c != nil {
+		// The copy-out reads the staged rows and writes the result once.
 		c.LoadRange(0, perfmodel.KAux, 0, int(nnz), 12)
 		c.StoreRange(out.slot, perfmodel.KColIdx, 0, int(nnz), 4)
 		c.StoreRange(out.slot, perfmodel.KVals, 0, int(nnz), 8)
@@ -175,247 +189,207 @@ func assemble[T any](ctx *Context, nrows, ncols int, rows []rowResult[T]) *Matri
 	return out
 }
 
-// saxpyMxM is SAXPY-based SpGEMM: for each entry A(i,k), fold
-// mul(A(i,k), B(k,:)) into row i of C. Gustavson uses a dense per-worker
-// accumulator of width B.ncols with generation marks; the hash variant uses
-// a map (more memory-frugal, more compute — study section III-A).
-func saxpyMxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T], useHash bool) *Matrix[T] {
-	n := A.nrows
-	rows := make([]rowResult[T], n)
-	c := perfmodel.Get()
-	type gacc struct {
-		vals   []T
-		mark   []int32
-		gen    int32
-		touch  []int32
-		inMask bitmap
-	}
-	t := ctx.threads()
-	accs := make([]*gacc, t)
-	ctx.Ex.ForRange(n, 0, func(lo, hi int, gctx *galois.Ctx) {
-		var a *gacc
-		var hashAcc map[int32]T
-		if useHash {
-			hashAcc = make(map[int32]T)
-		} else {
-			a = accs[gctx.TID]
-			if a == nil {
-				a = &gacc{vals: make([]T, B.ncols), mark: make([]int32, B.ncols)}
-				if mask != nil {
-					a.inMask = newBitmap(B.ncols)
-				}
-				//lint:ignore sharedwrite worker-local scratch cache: slot TID is only ever touched by its own worker and never feeds the output (rows is row-indexed)
-				accs[gctx.TID] = a
+// rowBound bounds the entries of rows [lo, hi) of C<mask> = A * B: the
+// sum over the rows of the smaller of the row's multiply count and its
+// width in the mask (B.ncols for a nil mask). A row of C has no more
+// entries than either.
+func rowBound[T any](mask *Pattern, A, B *Matrix[T], lo, hi int) int {
+	var m int64
+	for i := lo; i < hi; i++ {
+		width := int64(B.ncols)
+		if mask != nil {
+			width = mask.rowPtr[i+1] - mask.rowPtr[i]
+		}
+		var flops int64
+		for _, k := range A.colIdx[A.rowPtr[i]:A.rowPtr[i+1]] {
+			if flops += B.rowPtr[k+1] - B.rowPtr[k]; flops >= width {
+				break
 			}
 		}
-		var work int64
-		for i := lo; i < hi; i++ {
-			aCols, aVals := A.Row(i)
-			if len(aCols) == 0 {
-				continue
+		m += min(flops, width)
+	}
+	return int(m)
+}
+
+// saxpyMxM is SAXPY-based SpGEMM: for each entry A(i,k), fold
+// mul(A(i,k), B(k,:)) into row i of C. Gustavson folds into the worker's
+// dense push accumulator of width B.ncols; the hash variant uses a
+// per-worker map (more memory-frugal, more compute — study section
+// III-A). Under a mask, either spreads the mask row into a bitmap.
+func saxpyMxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T], useHash bool) *Matrix[T] {
+	c := perfmodel.Get()
+	type scratch struct {
+		inMask bitmap
+		hash   map[int32]T
+	}
+	scr := make([]*scratch, ctx.threads())
+	width := B.ncols
+	if useHash {
+		width = 0
+	}
+	return blockedRows(ctx, mask, A, B, width, func(i int, a pushAcc[T], gctx *galois.Ctx) {
+		aCols, aVals := A.Row(i)
+		var maskCols []int32
+		if mask != nil {
+			maskCols = mask.colIdx[mask.rowPtr[i]:mask.rowPtr[i+1]]
+		}
+		if len(aCols) == 0 || mask != nil && len(maskCols) == 0 {
+			return
+		}
+		x := scr[gctx.TID]
+		if x == nil {
+			x = new(scratch)
+			if useHash {
+				x.hash = make(map[int32]T)
 			}
-			// Load the mask row for O(1) checks.
-			var maskCols []int32
 			if mask != nil {
-				mlo, mhi := mask.rowPtr[i], mask.rowPtr[i+1]
-				maskCols = mask.colIdx[mlo:mhi]
-				if len(maskCols) == 0 {
+				x.inMask = newBitmap(B.ncols)
+			}
+			scr[gctx.TID] = x
+		}
+		for _, j := range maskCols {
+			x.inMask.set(int(j))
+		}
+		if c != nil {
+			c.LoadRange(A.slot, perfmodel.KColIdx, int(A.rowPtr[i]), len(aCols), 4)
+			c.LoadRange(A.slot, perfmodel.KVals, int(A.rowPtr[i]), len(aVals), 8)
+		}
+		var work int64
+		for e, k := range aCols {
+			av := aVals[e]
+			bCols, bVals := B.Row(int(k))
+			work += int64(len(bCols))
+			if c != nil {
+				c.LoadRange(B.slot, perfmodel.KColIdx, int(B.rowPtr[k]), len(bCols), 4)
+				c.LoadRange(B.slot, perfmodel.KVals, int(B.rowPtr[k]), len(bVals), 8)
+				if useHash {
+					c.Instr(3 * len(bCols)) // hash probe + combine
+				} else {
+					c.Instr(2 * len(bCols))
+				}
+			}
+			for e2, j := range bCols {
+				if mask != nil && !x.inMask.get(int(j)) {
 					continue
 				}
+				p := s.Mul(av, bVals[e2])
 				if !useHash {
-					for _, j := range maskCols {
-						a.inMask.set(int(j))
-					}
-				}
-			}
-			allowed := func(j int32) bool {
-				if mask == nil {
-					return true
-				}
-				if !useHash {
-					return a.inMask.get(int(j))
-				}
-				p := sort.Search(len(maskCols), func(k int) bool { return maskCols[k] >= j })
-				return p < len(maskCols) && maskCols[p] == j
-			}
-			if c != nil {
-				c.LoadRange(A.slot, perfmodel.KColIdx, int(A.rowPtr[i]), len(aCols), 4)
-				c.LoadRange(A.slot, perfmodel.KVals, int(A.rowPtr[i]), len(aVals), 8)
-			}
-			if useHash {
-				for e, k := range aCols {
-					av := aVals[e]
-					bCols, bVals := B.Row(int(k))
-					work += int64(len(bCols))
+					a.add(j, p, s.Add.Op)
 					if c != nil {
-						c.LoadRange(B.slot, perfmodel.KColIdx, int(B.rowPtr[k]), len(bCols), 4)
-						c.LoadRange(B.slot, perfmodel.KVals, int(B.rowPtr[k]), len(bVals), 8)
-						c.Instr(3 * len(bCols)) // hash probe + combine
+						c.Store(0, perfmodel.KAux, int(j), 8)
 					}
-					for e2, j := range bCols {
-						if !allowed(j) {
-							continue
-						}
-						p := s.Mul(av, bVals[e2])
-						if old, ok := hashAcc[j]; ok {
-							hashAcc[j] = s.Add.Op(old, p)
-						} else {
-							hashAcc[j] = p
-						}
-					}
-				}
-				if len(hashAcc) > 0 {
-					cols := make([]int32, 0, len(hashAcc))
-					for j := range hashAcc {
-						cols = append(cols, j)
-					}
-					slices.Sort(cols)
-					vals := make([]T, len(cols))
-					for x, j := range cols {
-						vals[x] = hashAcc[j]
-						delete(hashAcc, j)
-					}
-					rows[i] = rowResult[T]{cols: cols, vals: vals}
-					if c != nil {
-						c.StoreRange(0, perfmodel.KAux, 0, len(cols), 12)
-					}
-				}
-			} else {
-				a.gen++
-				a.touch = a.touch[:0]
-				for e, k := range aCols {
-					av := aVals[e]
-					bCols, bVals := B.Row(int(k))
-					work += int64(len(bCols))
-					if c != nil {
-						c.LoadRange(B.slot, perfmodel.KColIdx, int(B.rowPtr[k]), len(bCols), 4)
-						c.LoadRange(B.slot, perfmodel.KVals, int(B.rowPtr[k]), len(bVals), 8)
-						c.Instr(2 * len(bCols))
-					}
-					for e2, j := range bCols {
-						if !allowed(j) {
-							continue
-						}
-						p := s.Mul(av, bVals[e2])
-						if a.mark[j] != a.gen {
-							a.mark[j] = a.gen
-							a.vals[j] = p
-							a.touch = append(a.touch, j)
-						} else {
-							a.vals[j] = s.Add.Op(a.vals[j], p)
-						}
-						if c != nil {
-							c.Store(0, perfmodel.KAux, int(j), 8)
-						}
-					}
-				}
-				if len(a.touch) > 0 {
-					cols := append([]int32(nil), a.touch...)
-					slices.Sort(cols)
-					vals := make([]T, len(cols))
-					for x, j := range cols {
-						vals[x] = a.vals[j]
-					}
-					rows[i] = rowResult[T]{cols: cols, vals: vals}
-					if c != nil {
-						c.StoreRange(0, perfmodel.KAux, 0, len(cols), 12)
-					}
+				} else if old, ok := x.hash[j]; ok {
+					x.hash[j] = s.Add.Op(old, p)
+				} else {
+					x.hash[j] = p
 				}
 			}
-			if mask != nil && !useHash {
-				for _, j := range maskCols {
-					a.inMask.clear(int(j))
-				}
+		}
+		if useHash {
+			k0 := len(a.idx)
+			cols := a.idx
+			for j := range x.hash {
+				cols = append(cols, j)
 			}
+			slices.Sort(cols[k0:])
+			a.idx = cols
+			for _, j := range cols[k0:] {
+				a.out = append(a.out, x.hash[j])
+				delete(x.hash, j)
+			}
+		} else {
+			a.take()
+		}
+		for _, j := range maskCols {
+			x.inMask.clear(int(j))
 		}
 		gctx.Work(work)
 	})
-	return assemble(ctx, A.nrows, B.ncols, rows)
 }
 
 // dotMxM is SDOT SpGEMM: C(i,j) = A(i,:) · B(:,j) computed only for the
 // mask's entries, using B's CSC mirror. Rows and columns are sorted, so each
-// dot product is a sorted-merge intersection. No intermediate storage is
-// allocated beyond the output (study section III-A). Each entry's dot
-// product is a dotFunc: the semiring's typed loop (typed.go) or the
-// generic one.
+// dot product is a sorted-merge intersection and needs no accumulator
+// (study section III-A). Each entry's dot product is a dotFunc: the
+// semiring's typed loop (typed.go) or the generic one.
 func dotMxM[T any](ctx *Context, mask *Pattern, s Semiring[T], A, B *Matrix[T]) *Matrix[T] {
 	B.EnsureCSC()
 	dot := typedDot[T](s.kind)
 	if dot == nil {
 		dot = genericDot(s)
 	}
-	rows := make([]rowResult[T], A.nrows)
 	c := perfmodel.Get()
-	ctx.Ex.ForRange(A.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
+	return blockedRows(ctx, mask, A, B, 0, func(i int, a pushAcc[T], gctx *galois.Ctx) {
+		mlo, mhi := mask.rowPtr[i], mask.rowPtr[i+1]
+		aCols, aVals := A.Row(i)
+		if mlo == mhi || len(aCols) == 0 {
+			return
+		}
 		var work int64
-		for i := lo; i < hi; i++ {
-			mlo, mhi := mask.rowPtr[i], mask.rowPtr[i+1]
-			if mlo == mhi {
-				continue
+		for e := mlo; e < mhi; e++ {
+			j := mask.colIdx[e]
+			bRows, bVals := B.Col(int(j))
+			acc, hit, x, y := dot(aCols, aVals, bRows, bVals)
+			work += int64(x + y)
+			if c != nil {
+				// The dot product has no value-based bound, so it walks
+				// until one operand is exhausted: every touched element
+				// costs a memory access but only one compare.
+				c.LoadRange(A.slot, perfmodel.KColIdx, int(A.rowPtr[i]), x, 4)
+				c.LoadRange(B.slot, perfmodel.KColIdx, int(B.colPtr[j]), y, 4)
+				c.Instr(2 * (x + y))
 			}
-			aCols, aVals := A.Row(i)
-			if len(aCols) == 0 {
-				continue
-			}
-			var outCols []int32
-			var outVals []T
-			for e := mlo; e < mhi; e++ {
-				j := mask.colIdx[e]
-				bRows, bVals := B.Col(int(j))
-				acc, hit, x, y := dot(aCols, aVals, bRows, bVals)
-				work += int64(x + y)
-				if c != nil {
-					// The dot product has no value-based bound, so it walks
-					// until one operand is exhausted: every touched element
-					// costs a memory access but only one compare.
-					c.LoadRange(A.slot, perfmodel.KColIdx, int(A.rowPtr[i]), x, 4)
-					c.LoadRange(B.slot, perfmodel.KColIdx, int(B.colPtr[j]), y, 4)
-					c.Instr(2 * (x + y))
-				}
-				if hit {
-					outCols = append(outCols, j)
-					outVals = append(outVals, acc)
-				}
-			}
-			if len(outCols) > 0 {
-				rows[i] = rowResult[T]{cols: outCols, vals: outVals}
-				if c != nil {
-					c.StoreRange(0, perfmodel.KAux, 0, len(outCols), 12)
-				}
+			if hit {
+				a.idx = append(a.idx, j)
+				a.out = append(a.out, acc)
 			}
 		}
 		gctx.Work(work)
 	})
-	return assemble(ctx, A.nrows, B.ncols, rows)
 }
 
 // diagMxM scales row i of B by the diagonal entry A(i,i): the specialized
-// kernel GaloisBLAS adds for diagonal-times-sparse products.
+// kernel GaloisBLAS adds for diagonal-times-sparse products. Row i of C is
+// row i of B where A has a diagonal entry and empty elsewhere, so C's row
+// pointers follow from the two operands' row pointers and every block
+// writes its rows straight into C.
 func diagMxM[T any](ctx *Context, s Semiring[T], A, B *Matrix[T]) *Matrix[T] {
-	rows := make([]rowResult[T], A.nrows)
+	n := A.nrows
+	rowPtr := make([]int64, n+1)
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] = rowPtr[i]
+		if A.rowPtr[i+1] > A.rowPtr[i] {
+			rowPtr[i+1] += B.rowPtr[i+1] - B.rowPtr[i]
+		}
+	}
+	nnz := rowPtr[n]
+	colIdx := make([]int32, nnz)
+	vals := make([]T, nnz)
 	c := perfmodel.Get()
-	ctx.Ex.ForRange(A.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
-		var work int64
+	galois.ForBlocks(ctx.Ex, n, ctx.blockFor(n), func(_, lo, hi int, gctx *galois.Ctx) {
 		for i := lo; i < hi; i++ {
-			d, ok := A.ExtractElement(i, i)
-			if !ok {
+			off, end := rowPtr[i], rowPtr[i+1]
+			if off == end {
 				continue
 			}
-			bCols, bVals := B.Row(i)
-			work += int64(len(bCols))
+			d := A.vals[A.rowPtr[i]]
+			b := B.rowPtr[i]
+			copy(colIdx[off:end], B.colIdx[b:b+end-off])
+			for e, bv := range B.vals[b : b+end-off] {
+				vals[off+int64(e)] = s.Mul(d, bv)
+			}
 			if c != nil {
-				c.LoadRange(B.slot, perfmodel.KVals, int(B.rowPtr[i]), len(bVals), 8)
-				c.Instr(len(bCols))
+				c.LoadRange(B.slot, perfmodel.KVals, int(b), int(end-off), 8)
+				c.Instr(int(end - off))
 			}
-			cols := append([]int32(nil), bCols...)
-			vals := make([]T, len(bVals))
-			for e, bv := range bVals {
-				vals[e] = s.Mul(d, bv)
-			}
-			rows[i] = rowResult[T]{cols: cols, vals: vals}
 		}
-		gctx.Work(work)
+		gctx.Work(rowPtr[hi] - rowPtr[lo])
 	})
-	return assemble(ctx, A.nrows, B.ncols, rows)
+	out := NewMatrixFromCSR(n, B.ncols, rowPtr, colIdx, vals)
+	if c != nil {
+		c.StoreRange(out.slot, perfmodel.KColIdx, 0, int(nnz), 4)
+		c.StoreRange(out.slot, perfmodel.KVals, 0, int(nnz), 8)
+		c.Instr(int(nnz))
+	}
+	return out
 }

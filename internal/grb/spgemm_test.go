@@ -1,6 +1,7 @@
 package grb
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -171,4 +172,148 @@ func TestMxMTriangleCountIdentity(t *testing.T) {
 	if got := ReduceMatrix(NewSerialContext(), PlusMonoid[int64](), C); got != 1 {
 		t.Fatalf("triangle count = %d, want 1", got)
 	}
+}
+
+// maskedRef is denseRef restricted to the positions of mask (all of them
+// for a nil mask).
+func maskedRef(s Semiring[int64], mask *Pattern, A, B *Matrix[int64]) map[[2]int]int64 {
+	want := denseRef(s, A, B)
+	if mask == nil {
+		return want
+	}
+	in := map[[2]int]bool{}
+	for i := 0; i < mask.nrows; i++ {
+		for _, j := range mask.colIdx[mask.rowPtr[i]:mask.rowPtr[i+1]] {
+			in[[2]int{i, int(j)}] = true
+		}
+	}
+	for key := range want {
+		if !in[key] {
+			delete(want, key)
+		}
+	}
+	return want
+}
+
+// TestMxMMaskedDiagonal: a diagonal A under a mask takes a kernel that
+// applies the mask; the diagonal kernel scales every row of B whole.
+func TestMxMMaskedDiagonal(t *testing.T) {
+	v := NewVector[int64](8, Dense)
+	for i := 0; i < 8; i++ {
+		v.SetElement(i, int64(i+1))
+	}
+	D, B := Diag(v), randomMatrix(8, 30, 4)
+	mask := randomMatrix(8, 20, 5).Pattern()
+	C, err := MxM(NewSerialContext(), mask, PlusTimes[int64](), D, B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := matrixToMap(C), maskedRef(PlusTimes[int64](), mask, D, B); !reflect.DeepEqual(got, want) {
+		t.Fatalf("masked diagonal product has %d entries, want %d", len(got), len(want))
+	}
+}
+
+// TestMxMAllocsConstant pins what one MxM allocates at one worker: the
+// result, its block table, the executor's loop launches and a fixed set of
+// closures and scratch (12 for diag, 23-35 for the others), whatever the
+// row count. Every kernel stages its rows in the Context's workspace,
+// which AllocsPerRun's warm-up call sizes, so a product of 4096 rows in 64
+// blocks allocates no more than one of 256 rows in 16, but for one growth
+// of the hash kernel's map, which its longest row sizes. Staging each row
+// in its own slices allocated about two per non-empty row.
+func TestMxMAllocsConstant(t *testing.T) {
+	s := PlusTimes[int64]()
+	for _, k := range []struct {
+		name   string
+		kernel MxMKernel
+		masked bool
+	}{
+		{"diag", KernelAuto, false},
+		{"dot", KernelDot, true},
+		{"gustavson", KernelGustavson, false},
+		{"gustavson/masked", KernelGustavson, true},
+		{"hash", KernelHash, false},
+		{"hash/masked", KernelHash, true},
+	} {
+		var counts []float64
+		for _, n := range []int{256, 4096} {
+			A := randomMatrix(n, 4*n, 7)
+			B := A.Transpose()
+			if k.name == "diag" {
+				v := NewVector[int64](n, Dense)
+				for i := 0; i < n; i += 2 {
+					v.SetElement(i, int64(i))
+				}
+				A = Diag(v)
+			}
+			var mask *Pattern
+			if k.masked {
+				mask = A.Pattern()
+			}
+			ctx := NewGaloisBLASContext(1)
+			ctx.Kernel = k.kernel
+			counts = append(counts, testing.AllocsPerRun(5, func() {
+				if _, err := MxM(ctx, mask, s, A, B); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("%s: %.0f allocations at 256 rows, %.0f at 4096", k.name, counts[0], counts[1])
+		if counts[1] > counts[0]+1 || counts[1] > 40 {
+			t.Errorf("%s: %.0f allocations at 4096 rows, %.0f at 256; want at most one more, and at most 40", k.name, counts[1], counts[0])
+		}
+	}
+}
+
+// FuzzMxMKernels holds every MxM kernel to denseRef: a random shape,
+// density, block size, kernel and mask, or a diagonal A with random gaps
+// under KernelAuto, on every executor.
+func FuzzMxMKernels(f *testing.F) {
+	f.Add(int64(1), uint32(0))
+	f.Add(int64(2), uint32(0x1234567))
+	f.Add(int64(3), uint32(0xfedcba9))
+	f.Add(int64(4), uint32(0x2a))
+	f.Fuzz(func(t *testing.T, seed int64, cfg uint32) {
+		next := func(k uint32) int {
+			v := int(cfg % k)
+			cfg /= k
+			return v
+		}
+		r := rand.New(rand.NewSource(seed))
+		val := func(r *rand.Rand) int64 { return int64(r.Intn(7)) - 3 }
+		m, inner, n := 1+next(70), 1+next(70), 1+next(70)
+		density := next(8)
+		kernel := []MxMKernel{KernelAuto, KernelGustavson, KernelHash, KernelDot}[next(4)]
+		masked := kernel == KernelDot || next(2) == 1
+		block := []int{0, 1, 3, 16, 1000}[next(5)]
+		A := randMatrix(r, m, inner, density*m, val)
+		if next(3) == 0 {
+			v := NewVector[int64](m, Sorted)
+			for i := 0; i < m; i++ {
+				if r.Intn(3) != 0 {
+					v.SetElement(i, val(r))
+				}
+			}
+			A, inner, kernel = Diag(v), m, KernelAuto
+		}
+		B := randMatrix(r, inner, n, density*inner, val)
+		var mask *Pattern
+		if masked {
+			mask = randMatrix(r, m, n, 2*density*m, val).Pattern()
+		}
+		want := maskedRef(PlusTimes[int64](), mask, A, B)
+		for name, ctx := range denseOracleContexts(block) {
+			ctx.Kernel = kernel
+			C, err := MxM(ctx, mask, PlusTimes[int64](), A, B)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, kernel, err)
+			}
+			if err := C.Check(); err != nil {
+				t.Fatalf("%s/%v: %v", name, kernel, err)
+			}
+			if got := matrixToMap(C); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%v block=%d: %d entries, want %d", name, kernel, block, len(got), len(want))
+			}
+		}
+	})
 }

@@ -45,7 +45,7 @@ func VxM[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], s Sem
 	var e entryList[T]
 	switch {
 	case inPlace:
-		k = spmvPullDense(ctx, w, mv, accum, desc.Replace, s, u, A, true)
+		k = spmvPullDense(ctx, w, mv, accum, desc.Replace, s, u, A, true, nil)
 	case usePull:
 		e = spmvPull(ctx, mv, s, u, A, true)
 		k = len(e.idx)
@@ -96,7 +96,7 @@ func MxV[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], s Sem
 	var e entryList[T]
 	switch {
 	case inPlace:
-		k = spmvPullDense(ctx, w, mv, accum, desc.Replace, s, u, A, false)
+		k = spmvPullDense(ctx, w, mv, accum, desc.Replace, s, u, A, false, nil)
 	case usePush:
 		e = spmvPush(ctx, ws, mv, s, u, A, false)
 		k = len(e.idx)
@@ -298,9 +298,16 @@ func spmvPull[T any](ctx *Context, mask *maskView, s Semiring[T], u *Vector[T], 
 }
 
 // spmvPullDense is the SDOT kernel writing a Dense w in place, returning
-// how many positions it computed.
-func spmvPullDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryOp[T], replace bool, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool) int {
+// how many positions it computed. A non-nil op is applied to every dot
+// product before it is written (the fused VxM-then-Apply).
+func spmvPullDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryOp[T], replace bool, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool, op UnaryOp[T]) int {
 	dot := pullDot(s, u, A, alongCols)
 	return writeDense(ctx, w, mask, accum, replace, nil, nil, false,
-		func(j int, _, _ T, _, _ bool, gctx *galois.Ctx) (T, bool) { return dot(j, gctx) })
+		func(j int, _, _ T, _, _ bool, gctx *galois.Ctx) (T, bool) {
+			z, ok := dot(j, gctx)
+			if ok && op != nil {
+				z = op(z)
+			}
+			return z, ok
+		})
 }

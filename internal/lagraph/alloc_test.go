@@ -13,20 +13,23 @@ import (
 // rounds (setup included, so a round's share of it too).
 //
 // The bounds sit a few allocations above this tree's counts (bfs 40.6,
-// fused bfs 33.8, sssp 135.2, pr 920.3, cc 292.1, ktruss 741.3 per round)
-// and below those of kernels that build a mask bitmap per call, two
-// n-sized accumulator arrays per worker per push and a fresh entry list
-// per pushed block (bfs 58.3, sssp 185.2, pr 1050.6). cc uses none of
-// those, so its bound only guards against a rise of four allocations per
-// round. A pr round is dominated by the rows of the materialized
-// contribution matrix T = D*A, and a cc round by the per-block entry lists
-// of its sparse outputs, which both formulations allocate by design. Fused
-// bfs reads its frontier in place and marks the next one in the
-// workspace's scratch bitmap (42.6 per round with a fresh n-bit bitmap and
-// a frontier copy per round). ktruss runs on a small RMAT graph instead,
-// since the grid has no triangles; its rounds after the first update the
-// supports from the removed edges (1763.7 per round when every round ran
-// the full product).
+// fused bfs 33.8, sssp 135.2, pr 94.4, fused pr 77.3, cc 292.1, ktruss
+// 65.7 per round) and below those of kernels that build a mask bitmap per
+// call, two n-sized accumulator arrays per worker per push and a fresh
+// entry list per pushed block (bfs 58.3, sssp 185.2, pr 1050.6), or that
+// stage every product row in slices of its own (pr 920.3, ktruss 741.3)
+// and every fused pull result in an entry list (fused pr 319.3). cc uses
+// none of those, so its bound only guards against a rise of four
+// allocations per round. A pr round is left with what the formulation
+// allocates by design: the contribution matrix T = D*A, written straight
+// into its CSR arrays, the diagonal D and the push VxM's output; a cc
+// round, the per-block entry lists of its sparse outputs. Fused bfs reads
+// its frontier in place and marks the next one in the workspace's scratch
+// bitmap (42.6 per round with a fresh n-bit bitmap and a frontier copy
+// per round). ktruss runs on a small RMAT graph instead, since the grid
+// has no triangles; its rounds after the first update the supports from
+// the removed edges (1763.7 per round when every round ran the full
+// product).
 
 // allocsPerRound runs run under testing.AllocsPerRun and divides by the
 // rounds it reports.
@@ -82,7 +85,14 @@ func TestEagerRoundAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		return opt.Iterations
-	}), 960)
+	}), 98)
+	check("fused pr", allocsPerRound(t, func() int {
+		opt := DefaultPageRankOptions()
+		if _, err := FusedPageRank(ctx, af, opt); err != nil {
+			t.Fatal(err)
+		}
+		return opt.Iterations
+	}), 80)
 	check("cc", allocsPerRound(t, func() int {
 		_, r, err := CCFastSV(ctx, as)
 		if err != nil {
@@ -96,5 +106,5 @@ func TestEagerRoundAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		return res.Rounds
-	}), 745)
+	}), 69)
 }

@@ -32,19 +32,24 @@ race:
 
 # Focused gate for the parallel kernel backend: the equivalence, metamorphic,
 # alias, and digest-stability suites under the race detector at a fixed
-# worker count, plus a does-it-run pass over the SpMV scaling benchmark and
-# the typed-vs-generic semiring kernel benchmark. The grb suite includes
+# worker count, plus a does-it-run pass over the SpMV scaling benchmark,
+# the typed-vs-generic semiring kernel benchmark and the inline-versus-split
+# crossover benchmark the kernels' chunk comes from. The grb suite includes
 # the workspace reuse tests (push accumulators across calls, element types
-# and generation wraparound) and the MxM allocation gate; the lagraph
-# allocation gate pins what one eager bfs, fused bfs, sssp, pr, fused pr,
-# cc and ktruss round allocates at one worker.
+# and generation wraparound), the MxM allocation gate, the inline decision
+# tests (which calls get workers, and that a one-worker Context never starts
+# one), and the equivalence and block sweeps run both with each Context's
+# own decisions and split (every call parallel), so the parallel path stays
+# raced on small inputs. The lagraph allocation gate pins what one eager
+# bfs, fused bfs, sssp, pr, fused pr, cc and ktruss round allocates at one
+# worker, where every region runs inline.
 # The adapt suite sweeps no worker counts, so it registers no -grb.workers
 # flag and runs without it.
 test-parallel:
 	$(GO) test ./internal/grb ./internal/verify ./internal/fuse -race -grb.workers=4
 	$(GO) test ./internal/adapt -race
 	$(GO) test ./internal/lagraph -run '^TestEagerRoundAllocs$$' -count=1
-	$(GO) test ./internal/grb -run '^$$' -bench 'SpMV|SemiringKernels' -benchtime 1x
+	$(GO) test ./internal/grb -run '^$$' -bench 'SpMV|SemiringKernels|ChunkCrossover' -benchtime 1x
 
 # Repeats the suites that assert run-to-run identity (bench cell digests,
 # rounds and bytes; digest stability across executors and worker counts)

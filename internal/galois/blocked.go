@@ -82,12 +82,20 @@ func ForBlocks(ex Executor, n, block int, body func(b, lo, hi int, ctx *Ctx)) {
 		block = DetBlock(n)
 	}
 	nb := (n + block - 1) / block
-	ex.ForRange(nb, 1, func(blo, bhi int, ctx *Ctx) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := BlockBounds(b, n, block)
-			body(b, lo, hi, ctx)
-		}
-	})
+	// A static call keeps an inline loop's closure off the heap.
+	if s, ok := ex.(*Serial); ok {
+		s.ForRange(nb, 1, func(blo, bhi int, ctx *Ctx) { runBlocks(blo, bhi, n, block, body, ctx) })
+		return
+	}
+	ex.ForRange(nb, 1, func(blo, bhi int, ctx *Ctx) { runBlocks(blo, bhi, n, block, body, ctx) })
+}
+
+// runBlocks runs body over blocks [blo, bhi) of the blocking of [0, n).
+func runBlocks(blo, bhi, n, block int, body func(b, lo, hi int, ctx *Ctx), ctx *Ctx) {
+	for b := blo; b < bhi; b++ {
+		lo, hi := BlockBounds(b, n, block)
+		body(b, lo, hi, ctx)
+	}
 }
 
 // OrderedReduce computes one partial result per block of [0, n) in parallel

@@ -178,12 +178,20 @@ func (e *WorkStealing) ForRange(n int, grain int, body RangeBody) {
 	observeRegion(e.slots, e.t)
 }
 
-// Serial runs the body inline on the calling goroutine; useful for tests
-// and as a baseline.
-type Serial struct{ slot [1]padCounter }
+// Serial runs every loop inline on the calling goroutine, as TID 0, without
+// allocating. Standing in for t workers, it runs Static(t)'s parts in turn,
+// each charged to its worker's tally, so CollectStats records what Static(t)
+// would and the modeled scaling figures keep their meaning.
+type Serial struct {
+	slots []padCounter
+	ctx   Ctx
+}
 
 // NewSerial returns a single-threaded executor.
-func NewSerial() *Serial { return &Serial{} }
+func NewSerial() *Serial { return NewSerialFor(1) }
+
+// NewSerialFor returns a Serial standing in for t workers (t <= 0 means 1).
+func NewSerialFor(t int) *Serial { return &Serial{slots: make([]padCounter, max(t, 1))} }
 
 func (e *Serial) Threads() int { return 1 }
 func (e *Serial) Name() string { return "serial" }
@@ -196,9 +204,13 @@ func (e *Serial) ForRange(n int, grain int, body RangeBody) {
 	sp.Items = int64(n)
 	sp.Workers = 1
 	defer sp.End()
-	e.slot[0].v = 0
-	ctx := &Ctx{TID: 0, work: &e.slot[0].v}
-	ctx.Work(int64(n))
-	body(0, n, ctx)
-	observeRegion(e.slot[:], 1)
+	t := min(len(e.slots), n)
+	clear(e.slots)
+	for tid := 0; tid < t; tid++ {
+		lo, hi := tid*n/t, (tid+1)*n/t
+		e.ctx.work = &e.slots[tid].v
+		e.ctx.Work(int64(hi - lo))
+		body(lo, hi, &e.ctx)
+	}
+	observeRegion(e.slots, len(e.slots))
 }

@@ -323,3 +323,53 @@ func TestStaticImbalanceVisibleInSpan(t *testing.T) {
 		t.Fatalf("static span %d implausibly low", spanStatic)
 	}
 }
+
+// TestSerialChargesAsStatic: a Serial standing in for t workers records
+// the Regions, TotalWork and SpanWork Static(t) records for the same loops,
+// including ranges shorter than t and skewed per-iteration work, and runs
+// every part on the caller as TID 0.
+func TestSerialChargesAsStatic(t *testing.T) {
+	skew := func(i int) int64 {
+		if i%97 == 3 {
+			return 500
+		}
+		return int64(i % 5)
+	}
+	loops := func(ex Executor) {
+		for _, n := range []int{1, 2, 3, 5, 64, 400, 4001} {
+			ex.ForRange(n, 0, func(lo, hi int, ctx *Ctx) {
+				for i := lo; i < hi; i++ {
+					ctx.Work(skew(i))
+				}
+			})
+			ForBlocks(ex, n, 0, func(_, lo, hi int, ctx *Ctx) { ctx.Work(int64(hi - lo)) })
+		}
+	}
+	for _, threads := range []int{1, 2, 3, 4, 7} {
+		want := CollectStats(func() { loops(NewStatic(threads)) })
+		serial := NewSerialFor(threads)
+		got := CollectStats(func() { loops(serial) })
+		if got != want {
+			t.Errorf("t=%d: serial %+v, static %+v", threads, got, want)
+		}
+		serial.ForRange(10, 0, func(lo, hi int, ctx *Ctx) {
+			if ctx.TID != 0 {
+				t.Errorf("t=%d: part [%d,%d) ran as TID %d", threads, lo, hi, ctx.TID)
+			}
+		})
+	}
+}
+
+// TestSerialRunsInlineWithoutAllocating: an inline loop or block loop
+// allocates nothing.
+func TestSerialRunsInlineWithoutAllocating(t *testing.T) {
+	ex := NewSerialFor(4)
+	var sum int
+	body := func(_, lo, hi int, _ *Ctx) { sum += hi - lo }
+	if a := testing.AllocsPerRun(10, func() { ForBlocks(ex, 1000, 0, body) }); a != 0 {
+		t.Errorf("ForBlocks on Serial: %.0f allocations, want 0", a)
+	}
+	if sum != 11*1000 {
+		t.Errorf("covered %d iterations, want %d", sum, 11*1000)
+	}
+}

@@ -61,6 +61,10 @@ type Context struct {
 	// across calls reuses the scratch, and two goroutines that happen to
 	// share a Context never share a workspace.
 	ws atomic.Pointer[workspace]
+	// inline stands in for Ex on calls whose work fits one chunk (exFor).
+	// noInline, which only tests set, drops the chunk to 1.
+	inline   *galois.Serial
+	noInline bool
 }
 
 // Stopped reports whether a timeout/cancel was requested.
@@ -69,22 +73,40 @@ func (c *Context) Stopped() bool { return c.Stop != nil && c.Stop.Load() }
 // NewSuiteSparseContext mimics SuiteSparse:GraphBLAS's runtime: OpenMP-style
 // static scheduling. t <= 0 uses the configured thread count.
 func NewSuiteSparseContext(t int) *Context {
-	return &Context{Ex: galois.NewStatic(t)}
+	return newContext(galois.NewStatic(t))
 }
 
 // NewGaloisBLASContext mimics GaloisBLAS: the Galois runtime's dynamic
 // chunked scheduling with work stealing.
 func NewGaloisBLASContext(t int) *Context {
-	return &Context{Ex: galois.NewWorkStealing(t)}
+	return newContext(galois.NewWorkStealing(t))
 }
 
 // NewSerialContext runs every kernel inline; used by tests and traced runs.
-func NewSerialContext() *Context {
-	return &Context{Ex: galois.NewSerial()}
+func NewSerialContext() *Context { return newContext(galois.NewSerial()) }
+
+func newContext(ex galois.Executor) *Context {
+	return &Context{Ex: ex, inline: galois.NewSerialFor(ex.Threads())}
 }
 
 // threads returns the executor's worker count.
 func (c *Context) threads() int { return c.Ex.Threads() }
+
+// chunk is the work (entries read, positions visited) below which a kernel
+// call runs on the calling goroutine, as SuiteSparse's GB_nthreads does
+// below its 64K chunk: at 2 workers, splitting a call starts to pay
+// between 8K and 32K (BenchmarkChunkCrossover, EXPERIMENTS.md).
+const chunk = 16384
+
+// exFor returns the executor of a call doing work units of work: Ex, or its
+// inline twin when the work fits one chunk or Ex has one worker. It is the
+// one place grb decides whether a call gets workers; results are the same.
+func (c *Context) exFor(work int) galois.Executor {
+	if c.inline != nil && (work < chunk && !c.noInline || c.Ex.Threads() == 1) {
+		return c.inline
+	}
+	return c.Ex
+}
 
 // workspace is the scratch the kernels of one run reuse from call to call,
 // so that a round whose frontier is small costs no O(n) allocation: the
@@ -101,6 +123,7 @@ type workspace struct {
 	scratch bitmap
 	words   []int32
 	mv      maskView
+	pos     []int32 // the positions of spmvPush's Dense u
 }
 
 // acquire takes the Context's workspace for one kernel call, or a fresh

@@ -137,10 +137,11 @@ type denseVal[T any] func(i int, x, y T, hx, hy bool, gctx *galois.Ctx) (T, bool
 // writeDense runs the in-place path: w<mask> = val(u, v) under the
 // mask/accum/replace semantics mergeIntoVector gives an entry list. The
 // candidate positions are those the mask allows where u and v are both
-// present (union: either is). u or v may be nil. It returns how many
-// positions were computed, the length of the entry list the staged path
-// would have built.
-func writeDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryOp[T], replace bool, u, v *Vector[T], union bool, val denseVal[T]) int {
+// present (union: either is). u or v may be nil. The call's work (exFor)
+// is the positions it visits, each reading deg more entries on top (a pull's
+// mean degree, 0 elsewhere). It returns how many positions were computed,
+// the length of the entry list the staged path would have built.
+func writeDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryOp[T], replace bool, u, v *Vector[T], union bool, deg int, val denseVal[T]) int {
 	ru, rv := newDenseRead(u), newDenseRead(v)
 	n := w.n
 	// A mask spread from a sparse source names the only words a write can
@@ -154,7 +155,7 @@ func writeDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryO
 	}
 	// One struct, so the closure's capture is a single allocation.
 	var tally struct{ computed, grown atomic.Int64 }
-	galois.ForBlocks(ctx.Ex, nw, block, func(_, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(nw<<6*(1+deg)), nw, block, func(_, lo, hi int, gctx *galois.Ctx) {
 		bu, bv := ru, rv
 		if words == nil {
 			bu.seek(lo)

@@ -140,12 +140,15 @@ func (c denseCase) check(ctx *Context) error {
 }
 
 // denseOracleContexts are the executors of the sweep: serial, static
-// scheduling at 2 workers and work stealing at 4.
+// scheduling at 2 workers and work stealing at 4, the last two both as
+// they are and split (every call parallel).
 func denseOracleContexts(block int) map[string]*Context {
 	ctxs := map[string]*Context{
-		"serial":   NewSerialContext(),
-		"static-2": NewSuiteSparseContext(2),
-		"steal-4":  NewGaloisBLASContext(4),
+		"serial":         NewSerialContext(),
+		"static-2":       NewSuiteSparseContext(2),
+		"steal-4":        NewGaloisBLASContext(4),
+		"static-2/split": split(NewSuiteSparseContext(2)),
+		"steal-4/split":  split(NewGaloisBLASContext(4)),
 	}
 	for _, ctx := range ctxs {
 		ctx.Block = block

@@ -21,13 +21,18 @@ func equivWorkerCounts() []int {
 }
 
 // parallelContexts returns one kernel context per scheduling policy and
-// worker count under test. The serial context is the reference all of them
+// worker count under test, each multi-worker one both as it is and split
+// (every call parallel). The serial context is the reference all of them
 // must match bit-for-bit.
 func parallelContexts() map[string]*Context {
 	out := map[string]*Context{}
 	for _, w := range equivWorkerCounts() {
 		out[fmt.Sprintf("static-%d", w)] = NewSuiteSparseContext(w)
 		out[fmt.Sprintf("steal-%d", w)] = NewGaloisBLASContext(w)
+		if w > 1 {
+			out[fmt.Sprintf("static-%d/split", w)] = split(NewSuiteSparseContext(w))
+			out[fmt.Sprintf("steal-%d/split", w)] = split(NewGaloisBLASContext(w))
+		}
 	}
 	return out
 }

@@ -6,3 +6,12 @@ func TypedLoopCalls(semiring string) int64 {
 	kind := map[string]semiringKind{"plus_times": kindPlusTimes, "plus_pair": kindPlusPair}[semiring]
 	return typedCalls[kind].Load()
 }
+
+// split drops ctx's chunk to 1: every kernel call of a multi-worker ctx
+// then starts its workers, whatever its work, so that the small inputs of
+// the equivalence, block-sweep and fuzz suites still take the parallel
+// path.
+func split(ctx *Context) *Context {
+	ctx.noInline = true
+	return ctx
+}

@@ -102,7 +102,7 @@ func FusedAssignExpand[T comparable](ctx *Context, dist *Vector[T], level T, fro
 
 	// Phase A: stamp the level at frontier positions. Disjoint dense slots,
 	// no presence writes (dist is fully dense), so blocks race-free.
-	galois.ForBlocks(ctx.Ex, nf, block, func(b, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(nf), nf, block, func(b, lo, hi int, gctx *galois.Ctx) {
 		for k := lo; k < hi; k++ {
 			dist.dense[fIdx[k]] = level
 		}
@@ -123,7 +123,7 @@ func FusedAssignExpand[T comparable](ctx *Context, dist *Vector[T], level T, fro
 		ws.scratch = newBitmap(A.ncols)
 	}
 	next := ws.scratch[:nw]
-	galois.ForBlocks(ctx.Ex, nf, block, func(b, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(pushWork(nf, A)), nf, block, func(b, lo, hi int, gctx *galois.Ctx) {
 		var work int64
 		for k := lo; k < hi; k++ {
 			cols, _ := A.Row(int(fIdx[k]))
@@ -221,7 +221,7 @@ func FusedVxMApply[T any](ctx *Context, w *Vector[T], s Semiring[T], u *Vector[T
 		e = spmvPush(ctx, ws, nil, s, u, A, true)
 	}
 	if !inPlace {
-		galois.ForBlocks(ctx.Ex, len(e.vals), ctx.blockFor(len(e.vals)), func(b, lo, hi int, gctx *galois.Ctx) {
+		galois.ForBlocks(ctx.exFor(len(e.vals)), len(e.vals), ctx.blockFor(len(e.vals)), func(b, lo, hi int, gctx *galois.Ctx) {
 			for k := lo; k < hi; k++ {
 				e.vals[k] = op(e.vals[k])
 			}
@@ -283,7 +283,7 @@ func FusedFoldScale[T any](ctx *Context, w1 *Vector[T], addOp BinaryOp[T], x, y,
 	// Clear would. The presence bitmaps are read, never written — their
 	// words straddle block boundaries.
 	var zero T
-	galois.ForBlocks(ctx.Ex, n, ctx.blockFor(n), func(b, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(n), n, ctx.blockFor(n), func(b, lo, hi int, gctx *galois.Ctx) {
 		for i := lo; i < hi; i++ {
 			if x.present.get(i) {
 				xi := x.dense[i]
@@ -359,7 +359,7 @@ func FusedRelax[T comparable](ctx *Context, next, t *Vector[T], s Semiring[T], u
 	var zero T
 	block := ctx.blockFor(len(e.idx))
 	parts := make([]entryList[T], galois.NumBlocks(len(e.idx), block))
-	galois.ForBlocks(ctx.Ex, len(e.idx), block, func(b, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(len(e.idx)), len(e.idx), block, func(b, lo, hi int, gctx *galois.Ctx) {
 		out := &parts[b]
 		for k := lo; k < hi; k++ {
 			i := e.idx[k]
@@ -431,7 +431,7 @@ func FusedVxMAccum[T any](ctx *Context, t *Vector[T], op BinaryOp[T], s Semiring
 		defer ctx.release(ws)
 		e = spmvPush(ctx, ws, nil, s, u, A, true)
 	}
-	galois.ForBlocks(ctx.Ex, len(e.idx), ctx.blockFor(len(e.idx)), func(b, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(len(e.idx)), len(e.idx), ctx.blockFor(len(e.idx)), func(b, lo, hi int, gctx *galois.Ctx) {
 		for k := lo; k < hi; k++ {
 			i := e.idx[k]
 			t.dense[i] = op(t.dense[i], e.vals[k])

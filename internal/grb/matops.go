@@ -30,7 +30,7 @@ func FoldMatrix[T any](ctx *Context, op BinaryOp[T], a, b *Matrix[T]) error {
 	sp.NNZOut = b.NVals() // the entries of a it rewrote
 	sp.Workers = int64(ctx.threads())
 	var outside atomic.Bool
-	ctx.Ex.ForRange(b.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
+	ctx.exFor(b.nrows+int(b.NVals())).ForRange(b.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
 		var work int64
 		for i := lo; i < hi; i++ {
 			bCols, bVals := b.Row(i)
@@ -81,7 +81,7 @@ func PatternMinus[T any](ctx *Context, m *Matrix[T], p *Pattern) (*Matrix[T], er
 	// Both passes merge row i of m against row i of p; the first counts
 	// the entries p lacks, the second copies them.
 	rowPtr := make([]int64, m.nrows+1)
-	ctx.Ex.ForRange(m.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
+	ctx.exFor(m.nrows+int(m.NVals())).ForRange(m.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
 		for i := lo; i < hi; i++ {
 			q, qEnd := p.rowPtr[i], p.rowPtr[i+1]
 			var n int64
@@ -103,7 +103,7 @@ func PatternMinus[T any](ctx *Context, m *Matrix[T], p *Pattern) (*Matrix[T], er
 	nnz := rowPtr[m.nrows]
 	colIdx := make([]int32, nnz)
 	vals := make([]T, nnz)
-	ctx.Ex.ForRange(m.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
+	ctx.exFor(m.nrows+int(m.NVals())).ForRange(m.nrows, 0, func(lo, hi int, gctx *galois.Ctx) {
 		for i := lo; i < hi; i++ {
 			q, qEnd := p.rowPtr[i], p.rowPtr[i+1]
 			o := rowPtr[i]

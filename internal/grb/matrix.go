@@ -305,7 +305,7 @@ func (m *Matrix[T]) selectIndexed(pred IndexedPredicate[T]) *Matrix[T] {
 // the dense output's presence bitmap is not safe for concurrent writes.
 func ReduceRows[T any](ctx *Context, m Monoid[T], a *Matrix[T]) *Vector[T] {
 	out := NewVector[T](a.nrows, Dense)
-	e := blockedEntries(ctx, a.nrows, func(lo, hi int, gctx *galois.Ctx, part *entryList[T]) {
+	e := blockedEntries(ctx, a.nrows, a.nrows+int(a.NVals()), func(lo, hi int, gctx *galois.Ctx, part *entryList[T]) {
 		var work int64
 		for i := lo; i < hi; i++ {
 			rlo, rhi := a.rowPtr[i], a.rowPtr[i+1]
@@ -333,7 +333,7 @@ func ReduceRows[T any](ctx *Context, m Monoid[T], a *Matrix[T]) *Vector[T] {
 func ReduceMatrix[T any](ctx *Context, m Monoid[T], a *Matrix[T]) T {
 	traceMatrixPass(a, nil)
 	vals := a.vals
-	acc, ok := galois.OrderedReduce(ctx.Ex, len(vals), ctx.blockFor(len(vals)),
+	acc, ok := galois.OrderedReduce(ctx.exFor(len(vals)), len(vals), ctx.blockFor(len(vals)),
 		func(b, lo, hi int, gctx *galois.Ctx) T {
 			part := m.Identity
 			for k := lo; k < hi; k++ {

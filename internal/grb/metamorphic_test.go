@@ -31,6 +31,9 @@ func blockSweepContexts() []*Context {
 	var out []*Context
 	for _, w := range equivWorkerCounts() {
 		out = append(out, NewGaloisBLASContext(w))
+		if w > 1 {
+			out = append(out, split(NewGaloisBLASContext(w)))
+		}
 	}
 	return out
 }

@@ -53,11 +53,11 @@ func stitch[T any](parts []entryList[T]) entryList[T] {
 // each block appending its output entries to a private list, and stitches
 // the lists in block order. Provided each block's output depends only on its
 // iteration range, the result is identical on every executor, worker count,
-// and schedule.
-func blockedEntries[T any](ctx *Context, n int, produce func(lo, hi int, gctx *galois.Ctx, out *entryList[T])) entryList[T] {
+// and schedule. work is the call's work for exFor.
+func blockedEntries[T any](ctx *Context, n, work int, produce func(lo, hi int, gctx *galois.Ctx, out *entryList[T])) entryList[T] {
 	block := ctx.blockFor(n)
 	parts := make([]entryList[T], galois.NumBlocks(n, block))
-	galois.ForBlocks(ctx.Ex, n, block, func(b, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(work), n, block, func(b, lo, hi int, gctx *galois.Ctx) {
 		produce(lo, hi, gctx, &parts[b])
 	})
 	return stitch(parts)
@@ -70,7 +70,7 @@ func blockedWords[T any](ctx *Context, n int, produce func(wlo, whi int, out *en
 	nw := (n + 63) >> 6
 	block := (ctx.blockFor(n) + 63) >> 6
 	parts := make([]entryList[T], galois.NumBlocks(nw, block))
-	galois.ForBlocks(ctx.Ex, nw, block, func(b, wlo, whi int, _ *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(n), nw, block, func(b, wlo, whi int, _ *galois.Ctx) {
 		produce(wlo, whi, &parts[b])
 	})
 	return stitch(parts)
@@ -157,6 +157,7 @@ const scanWords = 8
 func (a pushAcc[T]) take() entryList[T] {
 	var out entryList[T]
 	if k := len(a.touch); k > 0 {
+		a.reserve(k)
 		start := len(a.idx)
 		lo, hi := a.touch[0], a.touch[0]
 		for _, j := range a.touch {
@@ -176,7 +177,6 @@ func (a pushAcc[T]) take() entryList[T] {
 				a.seen[j>>6] = 0
 			}
 		}
-		a.out = a.out[:start]
 		for _, j := range a.idx[start:] {
 			a.out = append(a.out, a.vals[j])
 		}
@@ -185,6 +185,18 @@ func (a pushAcc[T]) take() entryList[T] {
 	}
 	a.touch = a.touch[:0]
 	return out
+}
+
+// reserve makes room for k more entries in the output buffers, aligning
+// a.out with a.idx. Buffers too small are replaced by new ones of at least
+// twice the size, so a run grows them a few times and then reuses them;
+// entries already extracted stay where their lists point.
+func (a pushAcc[T]) reserve(k int) {
+	if n := len(a.idx); cap(a.idx)-n < k || cap(a.out)-n < k {
+		size := max(2*cap(a.idx), k)
+		a.idx, a.out = make([]int32, 0, size), make([]T, 0, size)
+	}
+	a.out = a.out[:len(a.idx)]
 }
 
 // unalias guards kernel inputs against output aliasing. GraphBLAS permits an

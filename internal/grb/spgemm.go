@@ -134,7 +134,9 @@ func maskedSaxpy[T any](mask *Pattern, A, B *Matrix[T]) bool {
 // block copies its rows into its range once. Rows depend only on their
 // inputs, so C is independent of schedule and blocking. The accumulators
 // are the run's; a block that may not fit (rowBound) in what is left of
-// the buffers starts new ones of at least twice the size.
+// the buffers starts new ones of at least twice the size. The call's work
+// (exFor) is A's rows plus the mask's entries, one merge or accumulator
+// probe each, or A's entries for a full product, one row of B read each.
 func blockedRows[T any](ctx *Context, mask *Pattern, A, B *Matrix[T], width int, row func(i int, a pushAcc[T], gctx *galois.Ctx)) *Matrix[T] {
 	nrows, c := A.nrows, perfmodel.Get()
 	ws := ctx.acquire()
@@ -143,17 +145,17 @@ func blockedRows[T any](ctx *Context, mask *Pattern, A, B *Matrix[T], width int,
 	rowPtr := make([]int64, nrows+1)
 	block := ctx.blockFor(nrows)
 	parts := make([]entryList[T], galois.NumBlocks(nrows, block))
-	galois.ForBlocks(ctx.Ex, nrows, block, func(b, lo, hi int, gctx *galois.Ctx) {
+	work := A.NVals()
+	if mask != nil {
+		work = mask.rowPtr[mask.nrows]
+	}
+	galois.ForBlocks(ctx.exFor(nrows+int(work)), nrows, block, func(b, lo, hi int, gctx *galois.Ctx) {
 		if accs[gctx.TID] == nil {
 			//lint:ignore sharedwrite worker-local scratch cache: slot TID is only ever touched by its own worker and never feeds the output (parts is block-indexed)
 			accs[gctx.TID] = new(accMarks)
 		}
 		a := accFor[T](accs[gctx.TID], width)
-		a.out = a.out[:len(a.idx)]
-		if m := rowBound(mask, A, B, lo, hi); cap(a.idx)-len(a.idx) < m {
-			size := max(2*cap(a.idx), m)
-			a.idx, a.out = make([]int32, 0, size), make([]T, 0, size)
-		}
+		a.reserve(rowBound(mask, A, B, lo, hi))
 		start := len(a.idx)
 		for i := lo; i < hi; i++ {
 			k := len(a.idx)
@@ -172,7 +174,7 @@ func blockedRows[T any](ctx *Context, mask *Pattern, A, B *Matrix[T], width int,
 	colIdx := make([]int32, nnz)
 	vals := make([]T, nnz)
 	if nnz > 0 {
-		galois.ForBlocks(ctx.Ex, nrows, block, func(b, lo, hi int, gctx *galois.Ctx) {
+		galois.ForBlocks(ctx.exFor(nrows+int(nnz)), nrows, block, func(b, lo, hi int, gctx *galois.Ctx) {
 			copy(colIdx[rowPtr[lo]:rowPtr[hi]], parts[b].idx)
 			copy(vals[rowPtr[lo]:rowPtr[hi]], parts[b].vals)
 			gctx.Work(rowPtr[hi] - rowPtr[lo])
@@ -366,7 +368,7 @@ func diagMxM[T any](ctx *Context, s Semiring[T], A, B *Matrix[T]) *Matrix[T] {
 	colIdx := make([]int32, nnz)
 	vals := make([]T, nnz)
 	c := perfmodel.Get()
-	galois.ForBlocks(ctx.Ex, n, ctx.blockFor(n), func(_, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(n+int(nnz)), n, ctx.blockFor(n), func(_, lo, hi int, gctx *galois.Ctx) {
 		for i := lo; i < hi; i++ {
 			off, end := rowPtr[i], rowPtr[i+1]
 			if off == end {

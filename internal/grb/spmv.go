@@ -142,17 +142,25 @@ func spmvPush[T any](ctx *Context, ws *workspace, mask *maskView, s Semiring[T],
 		n = A.nrows
 		A.EnsureCSC()
 	}
-	uIdx, uVals := sortedEntries(u)
-	if len(uIdx) == 0 {
+	// A Dense u's values are read in place, at positions listed in ws.
+	uIdx, uVals := ws.pos[:0], u.dense
+	if u.rep == Dense {
+		u.present.forEach(func(i int) { uIdx = append(uIdx, int32(i)) })
+		ws.pos = uIdx
+	} else {
+		uIdx, uVals = sortedEntries(u)
+	}
+	nu := len(uIdx)
+	if nu == 0 {
 		return entryList[T]{}
 	}
 	c := perfmodel.Get()
 	// Workers lazily fill their accumulator slot; partial results are
 	// indexed by block so the merge order below is fixed.
 	accs := ws.pushAccs(ctx.threads())
-	block := ctx.blockFor(len(uIdx))
-	parts := make([]entryList[T], galois.NumBlocks(len(uIdx), block))
-	galois.ForBlocks(ctx.Ex, len(uIdx), block, func(b, lo, hi int, gctx *galois.Ctx) {
+	block := ctx.blockFor(nu)
+	parts := make([]entryList[T], galois.NumBlocks(nu, block))
+	galois.ForBlocks(ctx.exFor(pushWork(nu, A)), nu, block, func(b, lo, hi int, gctx *galois.Ctx) {
 		m := accs[gctx.TID]
 		if m == nil {
 			m = new(accMarks)
@@ -162,8 +170,11 @@ func spmvPush[T any](ctx *Context, ws *workspace, mask *maskView, s Semiring[T],
 		a := accFor[T](m, n)
 		var work int64
 		for k := lo; k < hi; k++ {
-			i := int(uIdx[k])
-			x := uVals[k]
+			i, at := int(uIdx[k]), k
+			if u.rep == Dense {
+				at = i // a Dense u's values are indexed by position
+			}
+			x := uVals[at]
 			var cols []int32
 			var vals []T
 			if alongRows {
@@ -217,6 +228,12 @@ func spmvPush[T any](ctx *Context, ws *workspace, mask *maskView, s Semiring[T],
 		}
 	}
 	return final.take()
+}
+
+// pushWork is the work exFor charges a push over nu entries of u: the
+// entries and their edges, at A's mean degree.
+func pushWork[T any](nu int, A *Matrix[T]) int {
+	return nu * (1 + int(A.NVals())/max(A.nrows, 1))
 }
 
 // pullDot returns the SDOT kernel's dot product for one output position.
@@ -284,7 +301,7 @@ func spmvPull[T any](ctx *Context, mask *maskView, s Semiring[T], u *Vector[T], 
 		n = A.nrows
 	}
 	dot := pullDot(s, u, A, alongCols)
-	return blockedEntries(ctx, n, func(lo, hi int, gctx *galois.Ctx, part *entryList[T]) {
+	return blockedEntries(ctx, n, n+int(A.NVals()), func(lo, hi int, gctx *galois.Ctx, part *entryList[T]) {
 		for j := lo; j < hi; j++ {
 			if !mask.allows(j) {
 				continue
@@ -302,7 +319,7 @@ func spmvPull[T any](ctx *Context, mask *maskView, s Semiring[T], u *Vector[T], 
 // product before it is written (the fused VxM-then-Apply).
 func spmvPullDense[T any](ctx *Context, w *Vector[T], mask *maskView, accum BinaryOp[T], replace bool, s Semiring[T], u *Vector[T], A *Matrix[T], alongCols bool, op UnaryOp[T]) int {
 	dot := pullDot(s, u, A, alongCols)
-	return writeDense(ctx, w, mask, accum, replace, nil, nil, false,
+	return writeDense(ctx, w, mask, accum, replace, nil, nil, false, int(A.NVals())/max(w.n, 1),
 		func(j int, _, _ T, _, _ bool, gctx *galois.Ctx) (T, bool) {
 			z, ok := dot(j, gctx)
 			if ok && op != nil {

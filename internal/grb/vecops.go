@@ -135,10 +135,10 @@ func AssignConstant[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryO
 	var k int
 	var e entryList[T]
 	if inPlace {
-		k = writeDense(ctx, w, mv, accum, desc.Replace, nil, nil, false,
+		k = writeDense(ctx, w, mv, accum, desc.Replace, nil, nil, false, 0,
 			func(int, T, T, bool, bool, *galois.Ctx) (T, bool) { return value, true })
 	} else {
-		e = blockedEntries(ctx, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+		e = blockedEntries(ctx, w.n, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			mv.forEachIn(lo, hi, w.n, func(i int) {
 				out.idx = append(out.idx, int32(i))
 				out.vals = append(out.vals, value)
@@ -177,12 +177,12 @@ func Apply[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], op 
 	var k int
 	var e entryList[T]
 	if inPlace {
-		k = writeDense(ctx, w, mv, accum, desc.Replace, u, nil, false,
+		k = writeDense(ctx, w, mv, accum, desc.Replace, u, nil, false, 0,
 			func(_ int, x, _ T, _, _ bool, _ *galois.Ctx) (T, bool) { return op(x), true })
 	} else {
 		u = unalias(w, u)
 		uIdx, uVals := sortedEntries(u)
-		e = blockedEntries(ctx, len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+		e = blockedEntries(ctx, len(uIdx), len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			for k := lo; k < hi; k++ {
 				if i := uIdx[k]; mv.allows(int(i)) {
 					out.idx = append(out.idx, i)
@@ -246,13 +246,13 @@ func EWiseAdd[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T], 
 	case inPlace:
 		// Operands are read in place: a Sorted one through its entries,
 		// a List or Bitmap one through a sorted copy of them.
-		k = writeDense(ctx, w, mv, accum, desc.Replace, u, v, true, union)
+		k = writeDense(ctx, w, mv, accum, desc.Replace, u, v, true, 0, union)
 	default:
 		// Both operands are read densified; a Dense operand is read in
 		// place, and only a sparse one is copied (charged to a grb.Convert
 		// span).
 		ud, vd := densified(u), densified(v)
-		e = blockedEntries(ctx, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+		e = blockedEntries(ctx, w.n, w.n, func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			for i := lo; i < hi; i++ {
 				up, vp := ud.present.get(i), vd.present.get(i)
 				if !up && !vp || !mv.allows(i) {
@@ -326,12 +326,12 @@ func EWiseMult[T any](ctx *Context, w *Vector[T], mask *Mask, accum BinaryOp[T],
 	var k int
 	var e entryList[T]
 	if inPlace {
-		k = writeDense(ctx, w, mv, accum, desc.Replace, u, v, false,
+		k = writeDense(ctx, w, mv, accum, desc.Replace, u, v, false, 0,
 			func(_ int, x, y T, _, _ bool, _ *galois.Ctx) (T, bool) { return op(x, y), true })
 	} else {
 		swapped := a != u
 		aIdx, aVals := sortedEntries(a)
-		e = blockedEntries(ctx, len(aIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+		e = blockedEntries(ctx, len(aIdx), len(aIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			for k := lo; k < hi; k++ {
 				i := int(aIdx[k])
 				bv, ok := b.ExtractElement(i)
@@ -378,7 +378,7 @@ func SelectVector[T any](ctx *Context, w *Vector[T], mask *Mask, pred IndexedPre
 	var e entryList[T]
 	switch {
 	case inPlace:
-		k = writeDense(ctx, w, mv, nil, desc.Replace, u, nil, false,
+		k = writeDense(ctx, w, mv, nil, desc.Replace, u, nil, false, 0,
 			func(i int, x, _ T, _, _ bool, _ *galois.Ctx) (T, bool) { return x, pred(x, i, 0) })
 	case u.rep == Dense:
 		// Read u's presence words in place, a block of words at a time,
@@ -399,7 +399,7 @@ func SelectVector[T any](ctx *Context, w *Vector[T], mask *Mask, pred IndexedPre
 	default:
 		u = unalias(w, u)
 		uIdx, uVals := sortedEntries(u)
-		e = blockedEntries(ctx, len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+		e = blockedEntries(ctx, len(uIdx), len(uIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 			for k := lo; k < hi; k++ {
 				i := int(uIdx[k])
 				if pred(uVals[k], i, 0) && mv.allows(i) {
@@ -435,7 +435,7 @@ func ReduceVector[T any](ctx *Context, m Monoid[T], u *Vector[T]) T {
 	var acc T
 	var ok bool
 	if u.rep == Dense {
-		acc, ok = galois.OrderedReduce(ctx.Ex, u.n, ctx.blockFor(u.n),
+		acc, ok = galois.OrderedReduce(ctx.exFor(u.n), u.n, ctx.blockFor(u.n),
 			func(b, lo, hi int, gctx *galois.Ctx) T {
 				part := m.Identity
 				for i := lo; i < hi; i++ {
@@ -449,7 +449,7 @@ func ReduceVector[T any](ctx *Context, m Monoid[T], u *Vector[T]) T {
 		// Sparse reps fold in storage order, which is a fixed property of
 		// the vector — the same for every executor.
 		vals := u.vals
-		acc, ok = galois.OrderedReduce(ctx.Ex, len(vals), ctx.blockFor(len(vals)),
+		acc, ok = galois.OrderedReduce(ctx.exFor(len(vals)), len(vals), ctx.blockFor(len(vals)),
 			func(b, lo, hi int, gctx *galois.Ctx) T {
 				part := m.Identity
 				for k := lo; k < hi; k++ {
@@ -480,7 +480,7 @@ func Gather[T any](ctx *Context, w *Vector[T], u *Vector[T], indices *Vector[uin
 	sp.NNZIn = int64(indices.NVals())
 	sp.Workers = int64(ctx.threads())
 	kIdx, kVals := indices.Entries()
-	e := blockedEntries(ctx, len(kIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
+	e := blockedEntries(ctx, len(kIdx), len(kIdx), func(lo, hi int, gctx *galois.Ctx, out *entryList[T]) {
 		for x := lo; x < hi; x++ {
 			if val, ok := u.ExtractElement(int(kVals[x])); ok {
 				out.idx = append(out.idx, int32(kIdx[x]))

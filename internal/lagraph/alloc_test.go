@@ -12,15 +12,17 @@ import (
 // app runs once on a small road grid and its allocations are divided by its
 // rounds (setup included, so a round's share of it too).
 //
-// The bounds sit a few allocations above this tree's counts (bfs 40.6,
-// fused bfs 33.8, sssp 135.2, pr 94.4, fused pr 77.3, cc 292.1, ktruss
-// 65.7 per round) and below those of kernels that build a mask bitmap per
-// call, two n-sized accumulator arrays per worker per push and a fresh
-// entry list per pushed block (bfs 58.3, sssp 185.2, pr 1050.6), or that
-// stage every product row in slices of its own (pr 920.3, ktruss 741.3)
-// and every fused pull result in an entry list (fused pr 319.3). cc uses
-// none of those, so its bound only guards against a rise of four
-// allocations per round. A pr round is left with what the formulation
+// The bounds sit a few allocations above this tree's counts (bfs 26.9,
+// fused bfs 20.2, sssp 99.3, pr 56.0, fused pr 61.9, cc 263.1, ktruss
+// 31.0 per round) and below those of kernels that start workers for every
+// call, whatever its work, which costs each region a goroutine closure
+// and loop context (bfs 40.6, fused bfs 33.8, sssp 135.2, pr 94.4, fused
+// pr 77.3, cc 292.1, ktruss 65.7), that build a mask bitmap per call, two
+// n-sized accumulator arrays per worker per push and a fresh entry list
+// per pushed block (bfs 58.3, sssp 185.2, pr 1050.6), or that stage every
+// product row in slices of its own (pr 920.3, ktruss 741.3) and every
+// fused pull result in an entry list (fused pr 319.3). At one worker
+// every region runs inline. A pr round is left with what the formulation
 // allocates by design: the contribution matrix T = D*A, written straight
 // into its CSR arrays, the diagonal D and the push VxM's output; a cc
 // round, the per-block entry lists of its sparse outputs. Fused bfs reads
@@ -64,47 +66,47 @@ func TestEagerRoundAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		return r
-	}), 45)
+	}), 30)
 	check("fused bfs", allocsPerRound(t, func() int {
 		_, r, err := FusedBFS(ctx, ab, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
-	}), 36)
+	}), 23)
 	check("sssp", allocsPerRound(t, func() int {
 		res, err := SSSP(ctx, aw, 0, uint32(50))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Rounds
-	}), 145)
+	}), 103)
 	check("pr", allocsPerRound(t, func() int {
 		opt := DefaultPageRankOptions()
 		if _, err := PageRank(ctx, af, opt); err != nil {
 			t.Fatal(err)
 		}
 		return opt.Iterations
-	}), 98)
+	}), 59)
 	check("fused pr", allocsPerRound(t, func() int {
 		opt := DefaultPageRankOptions()
 		if _, err := FusedPageRank(ctx, af, opt); err != nil {
 			t.Fatal(err)
 		}
 		return opt.Iterations
-	}), 80)
+	}), 65)
 	check("cc", allocsPerRound(t, func() int {
 		_, r, err := CCFastSV(ctx, as)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
-	}), 296)
+	}), 267)
 	check("ktruss", allocsPerRound(t, func() int {
 		res, err := KTruss(ctx, ak, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Rounds
-	}), 69)
+	}), 34)
 }

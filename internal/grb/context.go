@@ -61,10 +61,9 @@ type Context struct {
 	// across calls reuses the scratch, and two goroutines that happen to
 	// share a Context never share a workspace.
 	ws atomic.Pointer[workspace]
-	// inline stands in for Ex on calls whose work fits one chunk (exFor).
-	// noInline, which only tests set, drops the chunk to 1.
-	inline   *galois.Serial
-	noInline bool
+	// inline stands in for Ex on calls whose work fits one chunk (exFor);
+	// nil, as in a Context literal, sends every call to Ex.
+	inline *galois.Serial
 }
 
 // Stopped reports whether a timeout/cancel was requested.
@@ -102,7 +101,7 @@ const chunk = 16384
 // inline twin when the work fits one chunk or Ex has one worker. It is the
 // one place grb decides whether a call gets workers; results are the same.
 func (c *Context) exFor(work int) galois.Executor {
-	if c.inline != nil && (work < chunk && !c.noInline || c.Ex.Threads() == 1) {
+	if c.inline != nil && (work < chunk || c.Ex.Threads() == 1) {
 		return c.inline
 	}
 	return c.Ex

@@ -7,11 +7,10 @@ func TypedLoopCalls(semiring string) int64 {
 	return typedCalls[kind].Load()
 }
 
-// split drops ctx's chunk to 1: every kernel call of a multi-worker ctx
-// then starts its workers, whatever its work, so that the small inputs of
-// the equivalence, block-sweep and fuzz suites still take the parallel
-// path.
+// split drops ctx's inline twin: every kernel call then starts ctx's
+// workers, whatever its work, so that the small inputs of the equivalence,
+// block-sweep and fuzz suites still take the parallel path.
 func split(ctx *Context) *Context {
-	ctx.noInline = true
+	ctx.inline = nil
 	return ctx
 }

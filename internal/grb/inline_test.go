@@ -59,7 +59,7 @@ func TestInlineDecision(t *testing.T) {
 }
 
 // TestOneWorkerRunsInline: a one-worker Context runs every region on the
-// caller, even split, so it never starts a goroutine.
+// caller, whatever its work, so it never starts a goroutine.
 func TestOneWorkerRunsInline(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	n := 20000
@@ -67,7 +67,7 @@ func TestOneWorkerRunsInline(t *testing.T) {
 	A.EnsureCSC()
 	full := NewVector[float64](n, Dense)
 	full.DenseFill(1)
-	for _, ctx := range []*Context{split(NewSuiteSparseContext(1)), split(NewGaloisBLASContext(1))} {
+	for _, ctx := range []*Context{NewSuiteSparseContext(1), NewGaloisBLASContext(1)} {
 		evs := regions(func() {
 			if err := VxM(ctx, NewVector[float64](n, Dense), nil, nil, PlusTimes[float64](), full, A, Desc{Force: HintPull}); err != nil {
 				t.Fatal(err)

@@ -136,7 +136,8 @@ func maskedSaxpy[T any](mask *Pattern, A, B *Matrix[T]) bool {
 // are the run's; a block that may not fit (rowBound) in what is left of
 // the buffers starts new ones of at least twice the size. The call's work
 // (exFor) is A's rows plus the mask's entries, one merge or accumulator
-// probe each, or A's entries for a full product, one row of B read each.
+// probe each, or for a full product A's entries and, at B's mean degree,
+// the entries of B they read (pushWork).
 func blockedRows[T any](ctx *Context, mask *Pattern, A, B *Matrix[T], width int, row func(i int, a pushAcc[T], gctx *galois.Ctx)) *Matrix[T] {
 	nrows, c := A.nrows, perfmodel.Get()
 	ws := ctx.acquire()
@@ -145,11 +146,11 @@ func blockedRows[T any](ctx *Context, mask *Pattern, A, B *Matrix[T], width int,
 	rowPtr := make([]int64, nrows+1)
 	block := ctx.blockFor(nrows)
 	parts := make([]entryList[T], galois.NumBlocks(nrows, block))
-	work := A.NVals()
+	work := pushWork(int(A.NVals()), B)
 	if mask != nil {
-		work = mask.rowPtr[mask.nrows]
+		work = int(mask.rowPtr[mask.nrows])
 	}
-	galois.ForBlocks(ctx.exFor(nrows+int(work)), nrows, block, func(b, lo, hi int, gctx *galois.Ctx) {
+	galois.ForBlocks(ctx.exFor(nrows+work), nrows, block, func(b, lo, hi int, gctx *galois.Ctx) {
 		if accs[gctx.TID] == nil {
 			//lint:ignore sharedwrite worker-local scratch cache: slot TID is only ever touched by its own worker and never feeds the output (parts is block-indexed)
 			accs[gctx.TID] = new(accMarks)

@@ -230,8 +230,8 @@ func spmvPush[T any](ctx *Context, ws *workspace, mask *maskView, s Semiring[T],
 	return final.take()
 }
 
-// pushWork is the work exFor charges a push over nu entries of u: the
-// entries and their edges, at A's mean degree.
+// pushWork is the work exFor charges a call that reads nu entries and the
+// rows of A they name: the entries and, at A's mean degree, their edges.
 func pushWork[T any](nu int, A *Matrix[T]) int {
 	return nu * (1 + int(A.NVals())/max(A.nrows, 1))
 }
